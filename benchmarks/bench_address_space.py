@@ -28,7 +28,7 @@ from benchmarks.bench_artifact import record_metric
 from repro.allocators import FirstFitAllocator
 from repro.storage.address_space import AddressSpace
 from repro.storage.extent import Extent
-from repro.storage.gap_index import GapIndex, _Node, _delete, _insert
+from repro.storage.gap_index import GapIndex
 from repro.workloads import UniformSizes, churn_trace
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -120,43 +120,42 @@ def test_audited_replay_within_2x_of_unaudited_at_scale():
     )
 
 
-class _LegacyBisectGapIndex(GapIndex):
-    """The pre-treap size order: a flat ``(length, start)`` bisect list.
+class _FlatSortedList:
+    """The pre-bucket size order: one flat ``(length, start)`` bisect list."""
 
-    Both variants pay the identical address-treap cost, so the timing delta
-    isolates the size structure: O(log n) treap descent vs O(log n) bisect
-    probe plus an O(n) memmove per insert and delete.
+    def __init__(self):
+        self.keys = []
+
+    def insert(self, key):
+        insort(self.keys, key)
+
+    def remove(self, key):
+        del self.keys[bisect_left(self.keys, key)]
+
+    def ceiling(self, probe):
+        pos = bisect_left(self.keys, probe)
+        return self.keys[pos] if pos < len(self.keys) else None
+
+    def last(self):
+        return self.keys[-1] if self.keys else None
+
+
+class _LegacyBisectGapIndex(GapIndex):
+    """The current index with its size order swapped for a flat bisect list.
+
+    Both variants pay the identical bucketed address-order cost, so the
+    timing delta isolates the size structure: an O(capacity) bucket insert
+    and delete vs an O(n) memmove per insert and delete.
     """
 
     def __init__(self):
         super().__init__()
-        self._by_size = []
-
-    def add(self, extent):
-        node = _Node(extent.start, extent.length, self._rng.getrandbits(62))
-        self._root = _insert(self._root, node)
-        insort(self._by_size, (extent.length, extent.start))
-        self._total += extent.length
-
-    def _remove_known(self, start, length):
-        self._root = _delete(self._root, start)
-        del self._by_size[bisect_left(self._by_size, (length, start))]
-        self._total -= length
-
-    def best_fit(self, size):
-        pos = bisect_left(self._by_size, (size,))
-        return self._by_size[pos][1] if pos < len(self._by_size) else None
-
-    def worst_fit(self, size):
-        if not self._by_size or self._by_size[-1][0] < size:
-            return None
-        widest = self._by_size[-1][0]
-        return self._by_size[bisect_left(self._by_size, (widest,))][1]
+        self._by_size = _FlatSortedList()
 
 
-#: Live gap count for the size-structure guard: past the bisect/treap
-#: crossover (~50k on CPython — below it the C memmove wins) by a wide
-#: enough margin that the ratio is stable on shared runners.
+#: Live gap count for the size-structure guard: large enough that the flat
+#: list's O(n) memmove dominates by a margin that keeps the ratio stable on
+#: shared runners.
 GAP_COUNT = 400_000 if FULL else 200_000
 GAP_OPS = 2_000
 
@@ -184,26 +183,25 @@ def _gap_churn(index_class, seed=7):
     return elapsed
 
 
-def test_size_treap_beats_the_bisect_list_at_scale():
-    treap = legacy = float("inf")
+def test_bucketed_size_order_beats_the_flat_bisect_list_at_scale():
+    bucketed = legacy = float("inf")
     for _ in range(3):
-        treap = min(treap, _gap_churn(GapIndex))
+        bucketed = min(bucketed, _gap_churn(GapIndex))
         legacy = min(legacy, _gap_churn(_LegacyBisectGapIndex))
     print(
         f"\ngap churn ({GAP_COUNT} live gaps, {GAP_OPS} remove/add/query ops): "
-        f"treap={treap * 1000:.1f}ms bisect-list={legacy * 1000:.1f}ms "
-        f"({legacy / treap:.2f}x)"
+        f"bucketed={bucketed * 1000:.1f}ms flat-bisect-list={legacy * 1000:.1f}ms "
+        f"({legacy / bucketed:.2f}x)"
     )
-    record_metric("gap_index", "size_treap_churn_seconds", round(treap, 6), "seconds")
+    record_metric("gap_index", "bucketed_size_order_churn_seconds", round(bucketed, 6), "seconds")
     record_metric("gap_index", "bisect_list_churn_seconds", round(legacy, 6), "seconds")
-    record_metric("gap_index", "bisect_over_treap_ratio", round(legacy / treap, 2), "ratio")
-    # The measured ratio is ~2x at 200k gaps and grows with the gap count;
+    record_metric("gap_index", "bisect_over_bucketed_ratio", round(legacy / bucketed, 2), "ratio")
     # 1.2x is the lenient floor that still catches an accidental return to
     # O(n) mutations without flaking on noisy shared runners.
-    assert legacy >= 1.2 * treap, (
-        f"size-treap churn ({treap:.3f}s) is not faster than the legacy "
-        f"bisect list ({legacy:.3f}s) at {GAP_COUNT} gaps; its O(log n) "
-        "mutations have regressed"
+    assert legacy >= 1.2 * bucketed, (
+        f"bucketed size-order churn ({bucketed:.3f}s) is not faster than the "
+        f"legacy flat bisect list ({legacy:.3f}s) at {GAP_COUNT} gaps; its "
+        "bounded-memmove mutations have regressed"
     )
 
 

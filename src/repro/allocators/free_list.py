@@ -6,13 +6,13 @@ choose.  The footprint competitive ratio of every such policy is
 ``Omega(log)`` in the worst case (Luby, Naor and Orda 1996), which experiment
 E3 demonstrates against the cost-oblivious reallocator.
 
-That lower bound is about footprint, not time: the gap *selection* itself is
-O(log n) per request here.  The gaps live in a
-:class:`~repro.storage.gap_index.GapIndex` — an address-ordered treap with
-subtree max lengths plus a size-ordered secondary index — so First Fit, Best
-Fit and Worst Fit are single index queries and coalescing on delete is a
-pair of neighbour probes, instead of the linear scans a flat list needs.
-Every policy's choice is identical to what the scan would have picked.
+That lower bound is about footprint, not time: the gaps live in a
+:class:`~repro.storage.gap_index.GapIndex` — bucketed sorted lists by
+address (with each bucket's widest gap) and by ``(length, start)`` — so
+First Fit scans one bucket after skipping the too-narrow ones, Best and
+Worst Fit are single ceiling probes, and coalescing on delete is a pair of
+dict lookups, instead of the linear scans a flat list needs.  Every
+policy's choice is identical to what the scan would have picked.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ class NextFitAllocator(FreeListAllocator):
     The rover is a *position* in the address-ordered gap list (exactly the
     index the flat-list implementation kept), so every placement matches
     the seed scan request for request — but the probe itself is a
-    rank-bounded :meth:`GapIndex.next_fit` query (O(log n), with one extra
-    descent on wrap-around) instead of a linear walk of the gap list.
+    :meth:`GapIndex.next_fit` query that ranks buckets by their sizes and
+    skips those too narrow to fit, instead of a linear walk of the gap list.
     """
 
     name = "next-fit"

@@ -8,8 +8,8 @@ checkpoint-based durability.  This package provides those substrates:
 * :mod:`repro.storage.extent` / :mod:`repro.storage.address_space` — extent
   arithmetic and an address space that detects overlapping placements via a
   bisect-maintained address-ordered index,
-* :mod:`repro.storage.gap_index` — the address+size indexed free-gap set
-  behind the classical free-list allocators (O(log n) first/best/worst fit),
+* :mod:`repro.storage.gap_index` — the free-gap set behind the classical
+  free-list allocators, kept in bucketed sorted lists by address and by size,
 * :mod:`repro.storage.devices` — timing models for RAM, disk and SSD that
   can both drive a simulation and derive a cost function,
 * :mod:`repro.storage.checkpoint` — the checkpoint manager that enforces the

@@ -3,292 +3,158 @@
 The classical free-list allocators (:mod:`repro.allocators.free_list`) keep
 the maximal free extents below the high-water mark and, per insert, pick one
 by policy: First Fit wants the lowest-addressed fitting gap, Best Fit the
-tightest, Worst Fit the widest.  A flat address-ordered list answers each of
-those with a full scan; :class:`GapIndex` answers all three in O(log n) by
-maintaining the same gap set in two orders at once:
+tightest, Worst Fit the widest.  :class:`GapIndex` keeps the gaps in two
+orders, each a :class:`_SortedBuckets` list of short sorted buckets:
 
-* an **address-ordered treap** whose nodes carry the maximum gap length in
-  their subtree (for leftmost-fitting descent — exact First Fit) and subtree
-  sizes (for rank queries, which Next Fit's roving pointer needs), and whose
-  key order gives the predecessor/successor probes that make coalescing a
-  pair of O(log n) lookups;
-* a **size-ordered treap** over ``(length, start)`` keys, where the Best
-  Fit answer is the ceiling of the request size and the Worst Fit answer is
-  the lowest-addressed key of the maximum length — both O(log n) descents.
-  (Earlier revisions kept this order in a flat ``bisect``/``insort`` list,
-  which answers the queries in O(log n) but pays O(n) memmove per insert
-  and delete; with hundreds of thousands of live gaps the *mutations*
-  dominated, see ``benchmarks/bench_address_space.py``.)
+* the **address order** holds the starts with their lengths in parallel
+  buckets and each bucket's widest length, so First Fit skips every bucket
+  too narrow for the request and scans one; Next Fit's rank adds up bucket
+  sizes;
+* the **size order** holds ``(length, start)`` keys: Best Fit is the ceiling
+  of ``(size,)``, Worst Fit the ceiling of ``(widest,)``.
 
-Every policy answer is *identical* to the one the linear scans produce —
-the index changes the cost of a query, never its result.  A running total
-of gap lengths makes ``free volume`` O(1).
-
-The treap's priorities come from a fixed-seed generator, so tree shapes —
-and therefore runtimes — are reproducible; results never depend on shape.
+A mutation moves at most ``_CAPACITY`` entries, not the O(n) memmove of one
+flat sorted list (see ``benchmarks/bench_address_space.py``).  Dicts keyed
+by start and by end make ``length_at`` and coalescing O(1), and a running
+total makes ``total_free`` O(1).  Every policy answer is *identical* to the
+one the seed's linear scans produce.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from itertools import chain, islice, starmap
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.telemetry import get_telemetry
 from repro.storage.extent import Extent
 
-
-class _Node:
-    __slots__ = ("start", "length", "priority", "left", "right", "max_length", "count")
-
-    def __init__(self, start: int, length: int, priority: int) -> None:
-        self.start = start
-        self.length = length
-        self.priority = priority
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
-        self.max_length = length
-        self.count = 1
+#: A bucket holding more entries than this splits in half; two neighbours
+#: that together hold at most half of it are joined, so the bucket count
+#: stays O(n / _CAPACITY).
+_CAPACITY = 64
 
 
-def _pull(node: _Node) -> _Node:
-    """Recompute a node's subtree aggregates from its children."""
-    max_length = node.length
-    count = 1
-    left, right = node.left, node.right
-    if left is not None:
-        count += left.count
-        if left.max_length > max_length:
-            max_length = left.max_length
-    if right is not None:
-        count += right.count
-        if right.max_length > max_length:
-            max_length = right.max_length
-    node.max_length = max_length
-    node.count = count
-    return node
+class _SortedBuckets:
+    """Distinct keys in ascending order, held as a list of sorted buckets.
 
-
-def _insert(root: Optional[_Node], node: _Node) -> _Node:
-    if root is None:
-        return node
-    if node.priority > root.priority:
-        # Rotate ``node`` to the top: split ``root`` around node.start.
-        node.left, node.right = _split(root, node.start)
-        return _pull(node)
-    if node.start < root.start:
-        root.left = _insert(root.left, node)
-    else:
-        root.right = _insert(root.right, node)
-    return _pull(root)
-
-
-def _split(root: Optional[_Node], start: int) -> Tuple[Optional[_Node], Optional[_Node]]:
-    """Split into (< start, > start) subtrees; ``start`` itself must be absent."""
-    if root is None:
-        return None, None
-    if root.start < start:
-        left, right = _split(root.right, start)
-        root.right = left
-        return _pull(root), right
-    left, right = _split(root.left, start)
-    root.left = right
-    return left, _pull(root)
-
-
-def _merge(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    if left.priority > right.priority:
-        left.right = _merge(left.right, right)
-        return _pull(left)
-    right.left = _merge(left, right.left)
-    return _pull(right)
-
-
-def _fit_at_or_after(node: Optional[_Node], rank: int, size: int) -> Optional[Tuple[int, int]]:
-    """``(rank, start)`` of the lowest-ranked gap with rank >= ``rank`` and
-    length >= ``size`` in ``node``'s subtree (ranks subtree-relative), or None.
-
-    O(height): the recursion follows the single rank boundary path; every
-    subtree fully inside the range is entered only when its ``max_length``
-    guarantees a fit, in which case the plain leftmost-fit descent succeeds
-    without backtracking.
+    ``tails[i]`` is the last key of ``keys[i]``: a bisect over ``tails``
+    picks a key's bucket and a second bisect its slot.  With ``valued`` each
+    key carries a value in the parallel ``values`` buckets, and ``peaks[i]``
+    is the largest value in bucket ``i``.
     """
-    if node is None or node.max_length < size or rank >= node.count:
-        return None
-    if rank <= 0:
-        # Whole subtree in range: plain leftmost-fit descent, tracking rank.
-        base = 0
-        while True:
-            left = node.left
-            left_count = left.count if left is not None else 0
-            if left is not None and left.max_length >= size:
-                node = left
-            elif node.length >= size:
-                return base + left_count, node.start
-            else:
-                base += left_count + 1
-                node = node.right  # guaranteed by the subtree max
-    left = node.left
-    left_count = left.count if left is not None else 0
-    if rank < left_count:
-        found = _fit_at_or_after(left, rank, size)
-        if found is not None:
-            return found
-    if rank <= left_count and node.length >= size:
-        return left_count, node.start
-    found = _fit_at_or_after(node.right, rank - left_count - 1, size)
-    if found is not None:
-        return found[0] + left_count + 1, found[1]
-    return None
 
+    __slots__ = ("keys", "tails", "values", "peaks")
 
-class _SizeNode:
-    """Node of the size-ordered treap: keyed by ``(length, start)``."""
+    def __init__(self, valued: bool = False) -> None:
+        self.keys: List[List[Any]] = []
+        self.tails: List[Any] = []
+        self.values: Optional[List[List[Any]]] = [] if valued else None
+        self.peaks: List[Any] = []
 
-    __slots__ = ("key", "priority", "left", "right")
+    def insert(self, key: Any, value: Any = None) -> None:
+        """Insert ``key`` (not yet present), carrying ``value``."""
+        keys, tails, values = self.keys, self.tails, self.values
+        if not keys:
+            keys.append([])
+            tails.append(key)
+            if values is not None:
+                values.append([])
+                self.peaks.append(value)
+        i = bisect_left(tails, key)
+        if i == len(tails):
+            i -= 1
+            tails[i] = key
+        bucket = keys[i]
+        j = bisect_left(bucket, key)
+        bucket.insert(j, key)
+        if values is not None:
+            values[i].insert(j, value)
+            if value > self.peaks[i]:
+                self.peaks[i] = value
+        if len(bucket) > _CAPACITY:
+            half = len(bucket) >> 1
+            keys[i:i + 1] = bucket[:half], bucket[half:]
+            tails.insert(i, bucket[half - 1])
+            if values is not None:
+                lower, upper = values[i][:half], values[i][half:]
+                values[i:i + 1] = lower, upper
+                self.peaks[i:i + 1] = max(lower), max(upper)
 
-    def __init__(self, key: Tuple[int, int], priority: int) -> None:
-        self.key = key
-        self.priority = priority
-        self.left: Optional[_SizeNode] = None
-        self.right: Optional[_SizeNode] = None
+    def remove(self, key: Any) -> None:
+        """Remove ``key``, which must be present."""
+        keys, tails, values = self.keys, self.tails, self.values
+        i = bisect_left(tails, key)
+        bucket = keys[i]
+        j = bisect_left(bucket, key)
+        assert bucket[j] == key, f"no entry {key!r}"
+        del bucket[j]
+        value = values[i].pop(j) if values is not None else None
+        if not bucket:
+            del keys[i], tails[i]
+            if values is not None:
+                del values[i], self.peaks[i]
+            return
+        if j == len(bucket):
+            tails[i] = bucket[-1]
+        if values is not None and value == self.peaks[i]:
+            self.peaks[i] = max(values[i])
+        if i + 1 < len(keys) and len(bucket) + len(keys[i + 1]) <= _CAPACITY >> 1:
+            self._join(i)
+        elif i and len(bucket) + len(keys[i - 1]) <= _CAPACITY >> 1:
+            self._join(i - 1)
 
+    def _join(self, i: int) -> None:
+        """Append bucket ``i + 1`` to bucket ``i``."""
+        self.keys[i] += self.keys.pop(i + 1)
+        del self.tails[i]
+        if self.values is not None:
+            self.values[i] += self.values.pop(i + 1)
+            self.peaks[i] = max(self.peaks[i], self.peaks.pop(i + 1))
 
-def _size_split(
-    root: Optional[_SizeNode], key: Tuple[int, int]
-) -> Tuple[Optional[_SizeNode], Optional[_SizeNode]]:
-    """Split into (< key, > key) subtrees; ``key`` itself must be absent."""
-    if root is None:
-        return None, None
-    if root.key < key:
-        left, right = _size_split(root.right, key)
-        root.right = left
-        return root, right
-    left, right = _size_split(root.left, key)
-    root.left = right
-    return left, root
+    def ceiling(self, probe: Any) -> Optional[Any]:
+        """The smallest key ``>= probe``, or None."""
+        i = bisect_left(self.tails, probe)
+        if i == len(self.tails):
+            return None
+        bucket = self.keys[i]
+        return bucket[bisect_left(bucket, probe)]
 
-
-def _size_insert(root: Optional[_SizeNode], node: _SizeNode) -> _SizeNode:
-    if root is None:
-        return node
-    if node.priority > root.priority:
-        node.left, node.right = _size_split(root, node.key)
-        return node
-    if node.key < root.key:
-        root.left = _size_insert(root.left, node)
-    else:
-        root.right = _size_insert(root.right, node)
-    return root
-
-
-def _size_merge(
-    left: Optional[_SizeNode], right: Optional[_SizeNode]
-) -> Optional[_SizeNode]:
-    if left is None:
-        return right
-    if right is None:
-        return left
-    if left.priority > right.priority:
-        left.right = _size_merge(left.right, right)
-        return left
-    right.left = _size_merge(left, right.left)
-    return right
-
-
-def _size_delete(root: _SizeNode, key: Tuple[int, int]) -> Optional[_SizeNode]:
-    if root.key == key:
-        return _size_merge(root.left, root.right)
-    if key < root.key:
-        assert root.left is not None, f"no size entry {key}"
-        root.left = _size_delete(root.left, key)
-    else:
-        assert root.right is not None, f"no size entry {key}"
-        root.right = _size_delete(root.right, key)
-    return root
-
-
-def _size_ceiling(
-    root: Optional[_SizeNode], probe: Tuple[int, ...]
-) -> Optional[Tuple[int, int]]:
-    """Smallest key >= ``probe`` (a 1-tuple probe sorts before every
-    ``(length, start)`` key of that length, so ``(size,)`` finds the
-    tightest fitting gap, address-lowest on ties)."""
-    found: Optional[Tuple[int, int]] = None
-    while root is not None:
-        if root.key >= probe:
-            found = root.key
-            root = root.left
-        else:
-            root = root.right
-    return found
-
-
-def _size_max(root: _SizeNode) -> Tuple[int, int]:
-    while root.right is not None:
-        root = root.right
-    return root.key
-
-
-def _delete(root: _Node, start: int) -> Optional[_Node]:
-    if root.start == start:
-        return _merge(root.left, root.right)
-    if start < root.start:
-        assert root.left is not None, f"no gap at {start}"
-        root.left = _delete(root.left, start)
-    else:
-        assert root.right is not None, f"no gap at {start}"
-        root.right = _delete(root.right, start)
-    return _pull(root)
+    def last(self) -> Optional[Any]:
+        """The largest key, or None when empty."""
+        return self.tails[-1] if self.tails else None
 
 
 class GapIndex:
     """Address- and size-indexed set of disjoint, non-adjacent free gaps."""
 
     def __init__(self) -> None:
-        self._root: Optional[_Node] = None
-        self._size_root: Optional[_SizeNode] = None
+        self._by_address = _SortedBuckets(valued=True)  # start -> length
+        self._by_size = _SortedBuckets()  # (length, start) keys
+        self._length_of: Dict[int, int] = {}
+        self._start_ending_at: Dict[int, int] = {}
         self._total = 0
-        self._rng = random.Random(0x9A95)
         # Telemetry counters are bound once, at construction, and only when
         # the process-current session is enabled; with telemetry off every
         # hot method pays exactly one attribute-is-None check.
         telemetry = get_telemetry()
-        if telemetry.enabled:
-            self._c_queries = telemetry.counter("gap_index.policy_queries")
-            self._c_adds = telemetry.counter("gap_index.gap_adds")
-            self._c_removes = telemetry.counter("gap_index.gap_removes")
-            self._c_coalesces = telemetry.counter("gap_index.coalesce_probes")
-        else:
-            self._c_queries = None
-            self._c_adds = None
-            self._c_removes = None
-            self._c_coalesces = None
+        counter = telemetry.counter if telemetry.enabled else lambda name: None
+        self._c_queries = counter("gap_index.policy_queries")
+        self._c_adds = counter("gap_index.gap_adds")
+        self._c_removes = counter("gap_index.gap_removes")
+        self._c_coalesces = counter("gap_index.coalesce_probes")
 
     # ------------------------------------------------------------- basics
     def __len__(self) -> int:
-        return self._root.count if self._root is not None else 0
+        return len(self._length_of)
 
     def __bool__(self) -> bool:
-        return self._root is not None
+        return bool(self._length_of)
 
     def __iter__(self) -> Iterator[Extent]:
         """Yield the gaps as extents in address order."""
-        for start, length in self._walk(self._root):
-            yield Extent(start, length)
-
-    def _walk(self, node: Optional[_Node]) -> Iterator[Tuple[int, int]]:
-        stack: List[_Node] = []
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.start, node.length
-            node = node.right
+        order = self._by_address
+        return starmap(Extent, chain.from_iterable(map(zip, order.keys, order.values)))
 
     @property
     def total_free(self) -> int:
@@ -297,53 +163,46 @@ class GapIndex:
 
     def length_at(self, start: int) -> Optional[int]:
         """Length of the gap starting exactly at ``start`` (None if absent)."""
-        node = self._root
-        while node is not None:
-            if start == node.start:
-                return node.length
-            node = node.left if start < node.start else node.right
-        return None
+        return self._length_of.get(start)
 
     # ----------------------------------------------------------- mutation
     def add(self, extent: Extent) -> None:
         """Insert a gap; the caller guarantees disjointness from existing gaps."""
-        counter = self._c_adds
-        if counter is not None:
-            counter.value += 1
-        node = _Node(extent.start, extent.length, self._rng.getrandbits(62))
-        self._root = _insert(self._root, node)
-        size_node = _SizeNode((extent.length, extent.start), self._rng.getrandbits(62))
-        self._size_root = _size_insert(self._size_root, size_node)
-        self._total += extent.length
+        if self._c_adds is not None:
+            self._c_adds.value += 1
+        start, length = extent.start, extent.length
+        self._by_address.insert(start, length)
+        self._by_size.insert((length, start))
+        self._length_of[start] = length
+        self._start_ending_at[start + length] = start
+        self._total += length
 
     def remove(self, start: int) -> Extent:
         """Remove and return the gap starting at ``start``."""
-        length = self.length_at(start)
+        length = self._length_of.get(start)
         if length is None:
             raise KeyError(f"no gap starts at address {start}")
         self._remove_known(start, length)
         return Extent(start, length)
 
     def _remove_known(self, start: int, length: int) -> None:
-        counter = self._c_removes
-        if counter is not None:
-            counter.value += 1
-        self._root = _delete(self._root, start)
-        assert self._size_root is not None, f"no gap at {start}"
-        self._size_root = _size_delete(self._size_root, (length, start))
+        if self._c_removes is not None:
+            self._c_removes.value += 1
+        self._by_address.remove(start)
+        self._by_size.remove((length, start))
+        del self._length_of[start]
+        del self._start_ending_at[start + length]
         self._total -= length
 
     def take(self, start: int, size: int) -> None:
         """Allocate ``size`` units from the front of the gap at ``start``."""
-        length = self.length_at(start)
+        length = self._length_of.get(start)
         if length is None:
             raise KeyError(f"no gap starts at address {start}")
         if length < size:
             # Raise before mutating: a failed insert must leave the free
             # list intact so the request can be retried.
-            raise ValueError(
-                f"gap {Extent(start, length)} is smaller than the request ({size})"
-            )
+            raise ValueError(f"gap {Extent(start, length)} is smaller than the request ({size})")
         self._remove_known(start, length)
         if length > size:
             self.add(Extent(start + size, length - size))
@@ -354,136 +213,87 @@ class GapIndex:
         The merged extent is *not* inserted: the caller decides whether it
         becomes a gap or shrinks the high-water mark.
         """
-        counter = self._c_coalesces
-        if counter is not None:
-            counter.value += 1
+        if self._c_coalesces is not None:
+            self._c_coalesces.value += 1
         start, end = extent.start, extent.end
-        predecessor = self._neighbor(extent.start, before=True)
-        if predecessor is not None and predecessor.end == start:
-            self._remove_known(predecessor.start, predecessor.length)
-            start = predecessor.start
-        successor = self._neighbor(extent.start, before=False)
-        if successor is not None and successor.start == end:
-            self._remove_known(successor.start, successor.length)
-            end = successor.end
+        before = self._start_ending_at.get(start)
+        if before is not None:
+            self._remove_known(before, start - before)
+            start = before
+        length = self._length_of.get(end)
+        if length is not None:
+            self._remove_known(end, length)
+            end += length
         return Extent(start, end - start)
-
-    def _neighbor(self, start: int, before: bool) -> Optional[Extent]:
-        """Nearest gap strictly before/after ``start`` in address order."""
-        node = self._root
-        found: Optional[_Node] = None
-        while node is not None:
-            if (node.start < start) if before else (node.start > start):
-                found = node
-                node = node.right if before else node.left
-            else:
-                node = node.left if before else node.right
-        return Extent(found.start, found.length) if found is not None else None
 
     # ------------------------------------------------------ policy queries
     def first_fit(self, size: int) -> Optional[int]:
         """Start of the lowest-addressed gap with length >= ``size``."""
-        counter = self._c_queries
-        if counter is not None:
-            counter.value += 1
-        node = self._root
-        if node is None or node.max_length < size:
-            return None
-        while True:
-            if node.left is not None and node.left.max_length >= size:
-                node = node.left
-            elif node.length >= size:
-                return node.start
-            else:
-                node = node.right  # guaranteed by the subtree max
+        if self._c_queries is not None:
+            self._c_queries.value += 1
+        found = self._fit_from(0, size)
+        return found[1] if found is not None else None
 
     def best_fit(self, size: int) -> Optional[int]:
         """Start of the tightest fitting gap (address-lowest on ties)."""
-        counter = self._c_queries
-        if counter is not None:
-            counter.value += 1
-        found = _size_ceiling(self._size_root, (size,))
-        if found is None:
-            return None
-        return found[1]
+        if self._c_queries is not None:
+            self._c_queries.value += 1
+        found = self._by_size.ceiling((size,))
+        return found[1] if found is not None else None
 
     def worst_fit(self, size: int) -> Optional[int]:
         """Start of the widest gap (address-lowest on ties), if it fits."""
-        counter = self._c_queries
-        if counter is not None:
-            counter.value += 1
-        if self._size_root is None:
+        if self._c_queries is not None:
+            self._c_queries.value += 1
+        widest = self._by_size.last()
+        if widest is None or widest[0] < size:
             return None
-        widest = _size_max(self._size_root)[0]
-        if widest < size:
-            return None
-        found = _size_ceiling(self._size_root, (widest,))
-        assert found is not None  # the max key itself is >= (widest,)
-        return found[1]
+        return self._by_size.ceiling((widest[0],))[1]
 
     def next_fit(self, size: int, rover: int) -> Optional[Tuple[int, int]]:
         """``(rank, start)`` of the gap Next Fit's cyclic probe picks.
 
         Equivalent to scanning :meth:`scan` ``(rover)`` for the first gap
-        with ``length >= size`` — including the seed scan's clamp of an
-        out-of-range rover to the last gap — but O(log n): one rank-bounded
-        descent over ranks ``>= min(rover, len - 1)`` plus, on wrap-around,
-        one plain leftmost-fit descent over the low ranks.
+        with ``length >= size``, including the seed scan's clamp of an
+        out-of-range rover to the last gap.
         """
-        counter = self._c_queries
-        if counter is not None:
-            counter.value += 1
-        total = len(self)
-        if total == 0:
+        if self._c_queries is not None:
+            self._c_queries.value += 1
+        if not self._length_of:
             return None
-        rank = min(rover, total - 1)
-        found = _fit_at_or_after(self._root, rank, size)
+        rank = min(rover, len(self._length_of) - 1)
+        found = self._fit_from(rank, size)
         if found is None and rank > 0:
             # Wrap around: the lowest-ranked fit overall necessarily sits
             # below ``rank`` (anything at or above it was just ruled out).
-            found = _fit_at_or_after(self._root, 0, size)
+            found = self._fit_from(0, size)
         return found
+
+    def _fit_from(self, rank: int, size: int) -> Optional[Tuple[int, int]]:
+        """``(rank, start)`` of the first gap of rank >= ``rank`` with length
+        >= ``size``, or None.  Buckets wholly below ``rank`` or too narrow for
+        the request are skipped without a look inside."""
+        order = self._by_address
+        base = 0
+        for starts, lengths, peak in zip(order.keys, order.values, order.peaks):
+            end = base + len(starts)
+            if end > rank and peak >= size:
+                for j in range(max(rank - base, 0), len(lengths)):
+                    if lengths[j] >= size:
+                        return base + j, starts[j]
+            base = end
+        return None
 
     def free_extents(self) -> List[Extent]:
         """The gaps as a list of extents in address order (an O(n) walk)."""
         return list(self)
 
     def scan(self, rank: int) -> Iterator[Tuple[int, int, int]]:
-        """Yield every ``(rank, start, length)`` once, cyclically from ``rank``.
-
-        This is Next Fit's probe order: the address-ordered gap list read
-        from position ``rank`` with wrap-around.
-        """
+        """Yield every ``(rank, start, length)`` once, cyclically from ``rank``
+        (clamped to the last gap): Next Fit's probe order."""
         total = len(self)
         if total == 0:
             return
         rank = min(rank, total - 1)
-        for offset, (start, length) in enumerate(self._walk_from(rank)):
-            yield rank + offset, start, length
-        for position, (start, length) in enumerate(self._walk(self._root)):
-            if position >= rank:
-                return
-            yield position, start, length
-
-    def _walk_from(self, rank: int) -> Iterator[Tuple[int, int]]:
-        """In-order walk starting at the node of the given rank."""
-        stack: List[_Node] = []
-        node = self._root
-        while node is not None:
-            left_count = node.left.count if node.left is not None else 0
-            if rank < left_count:
-                stack.append(node)
-                node = node.left
-            elif rank == left_count:
-                stack.append(node)
-                break
-            else:
-                rank -= left_count + 1
-                node = node.right
-        while stack:
-            node = stack.pop()
-            yield node.start, node.length
-            child = node.right
-            while child is not None:
-                stack.append(child)
-                child = child.left
+        for offset, gap in enumerate(chain(islice(self, rank, None), islice(self, rank))):
+            yield (rank + offset) % total, gap.start, gap.length

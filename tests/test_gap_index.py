@@ -7,7 +7,15 @@ Two oracles, both re-implementations of the pre-index code:
   :class:`GapIndex`-backed policy picks the *same gap on every request*;
 * a naive all-pairs overlap scan, used to check that the address-ordered
   index inside :class:`AddressSpace` detects exactly the same clashes.
+
+The :class:`GapIndex` oracles run twice: at the real bucket capacity and at
+``TINY_CAPACITY``, where a few dozen gaps already split, join and empty
+buckets and Next Fit's wrap-around crosses bucket boundaries.
 """
+
+import contextlib
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,9 +26,29 @@ from repro.allocators import (
     NextFitAllocator,
     WorstFitAllocator,
 )
+from repro.storage import gap_index
 from repro.storage.address_space import AddressSpace, OverlapError
 from repro.storage.extent import Extent
 from repro.storage.gap_index import GapIndex
+
+#: Bucket capacity for the multi-bucket runs: buckets split at 5 entries
+#: and neighbours holding 2 between them are joined.
+TINY_CAPACITY = 4
+
+
+def tiny_buckets():
+    return mock.patch.object(gap_index, "_CAPACITY", TINY_CAPACITY)
+
+
+def assert_bucket_invariants(gaps):
+    """The bucket lists of both orders are well formed for the current capacity."""
+    for order in (gaps._by_address, gaps._by_size):
+        assert all(0 < len(bucket) <= gap_index._CAPACITY for bucket in order.keys)
+        assert order.tails == [bucket[-1] for bucket in order.keys]
+        flat = [key for bucket in order.keys for key in bucket]
+        assert flat == sorted(flat) and len(flat) == len(gaps)
+    by_address = gaps._by_address
+    assert by_address.peaks == [max(lengths) for lengths in by_address.values]
 
 
 # --------------------------------------------------------------- seed oracle
@@ -119,14 +147,14 @@ churn_scripts = st.lists(
 )
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(script=churn_scripts)
-def test_indexed_policies_agree_with_seed_scans(policy, script):
+def _replay_against_seed_scan(policy, script, check_buckets=False):
+    """Drive one churn script through the indexed policy and the seed scan;
+    return the largest gap count seen."""
     allocator = POLICIES[policy]()
     oracle = _ScanFreeList(policy)
     live = []
     next_id = 0
+    most_gaps = 0
     for step, action in enumerate(script):
         if action > 0 or not live:
             size = abs(action)
@@ -145,7 +173,75 @@ def test_indexed_policies_agree_with_seed_scans(policy, script):
         assert allocator.free_extents() == oracle.free
         assert allocator.high_water == oracle.high_water
         assert allocator.free_volume() == sum(gap.length for gap in oracle.free)
+        if check_buckets:
+            assert_bucket_invariants(allocator._gaps)
+        most_gaps = max(most_gaps, len(oracle.free))
     allocator.space.verify_disjoint()
+    return most_gaps
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=churn_scripts)
+def test_indexed_policies_agree_with_seed_scans(policy, script):
+    _replay_against_seed_scan(policy, script)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(script=churn_scripts)
+def test_indexed_policies_agree_with_seed_scans_in_tiny_buckets(policy, script):
+    with tiny_buckets():
+        _replay_against_seed_scan(policy, script, check_buckets=True)
+
+
+def _seeded_churn_script(seed=20140622):
+    """About 2k requests: 1000 inserts, deletes of every other object (about
+    500 gaps), then 500 steps of random churn."""
+    rng = random.Random(seed)
+    script = [rng.randint(1, 48) for _ in range(1000)]
+    script += [-(index + 1) for index in range(0, 1000, 2)][::-1]
+    script += [rng.choice((rng.randint(1, 48), -rng.randint(1, 64))) for _ in range(500)]
+    return script
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("tiny", [False, True], ids=["real_buckets", "tiny_buckets"])
+def test_seeded_churn_agrees_with_seed_scan_across_many_buckets(tiny, policy):
+    """More gaps than two buckets hold, at either capacity."""
+    with tiny_buckets() if tiny else contextlib.nullcontext():
+        most_gaps = _replay_against_seed_scan(policy, _seeded_churn_script(), check_buckets=tiny)
+        assert most_gaps > 2 * gap_index._CAPACITY, most_gaps
+
+
+def test_sorted_buckets_agree_with_a_flat_sorted_list_in_tiny_buckets():
+    """Seeded inserts and removes that grow the set to a few hundred keys
+    and shrink it back to empty, so buckets split, join and empty."""
+    rng = random.Random(5)
+    with tiny_buckets():
+        buckets = gap_index._SortedBuckets(valued=True)
+        oracle = {}
+        for step in range(3000):
+            grow = step < 1000 or (step < 2000 and rng.random() < 0.5)
+            if grow or not oracle:
+                key = rng.randrange(10_000)
+                if key not in oracle:
+                    oracle[key] = rng.randrange(1, 100)
+                    buckets.insert(key, oracle[key])
+            else:
+                key = rng.choice(list(oracle))
+                del oracle[key]
+                buckets.remove(key)
+            keys = sorted(oracle)
+            assert [k for bucket in buckets.keys for k in bucket] == keys
+            assert [v for bucket in buckets.values for v in bucket] == [oracle[k] for k in keys]
+            assert buckets.tails == [bucket[-1] for bucket in buckets.keys]
+            assert buckets.peaks == [max(values) for values in buckets.values]
+            assert all(0 < len(bucket) <= TINY_CAPACITY for bucket in buckets.keys)
+            probe = rng.randrange(10_000)
+            assert buckets.ceiling(probe) == next((k for k in keys if k >= probe), None)
+            assert buckets.last() == (keys[-1] if keys else None)
+        assert buckets.keys == []
 
 
 # ---------------------------------------------------- overlap-audit oracle
@@ -320,13 +416,14 @@ def test_gap_index_next_fit_matches_the_cyclic_scan():
     assert GapIndex().next_fit(1, 0) is None
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+next_fit_cases = given(
     starts=st.lists(st.integers(min_value=0, max_value=400), min_size=0, max_size=40, unique=True),
     rover=st.integers(min_value=0, max_value=60),
     size=st.integers(min_value=1, max_value=12),
 )
-def test_gap_index_next_fit_agrees_with_scan_on_random_gap_sets(starts, rover, size):
+
+
+def _check_next_fit_against_scan(starts, rover, size):
     gaps = GapIndex()
     for start in starts:
         # Lengths 1..10, disjoint and non-adjacent by construction.
@@ -336,6 +433,20 @@ def test_gap_index_next_fit_agrees_with_scan_on_random_gap_sets(starts, rover, s
         None,
     )
     assert gaps.next_fit(size, rover) == expected
+    return gaps
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@next_fit_cases
+def test_gap_index_next_fit_agrees_with_scan_on_random_gap_sets(starts, rover, size):
+    _check_next_fit_against_scan(starts, rover, size)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@next_fit_cases
+def test_gap_index_next_fit_agrees_with_scan_in_tiny_buckets(starts, rover, size):
+    with tiny_buckets():
+        assert_bucket_invariants(_check_next_fit_against_scan(starts, rover, size))
 
 
 def test_gap_index_scan_wraps_in_address_order():
@@ -348,8 +459,7 @@ def test_gap_index_scan_wraps_in_address_order():
     assert list(GapIndex().scan(0)) == []
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+size_order_cases = given(
     script=st.lists(
         st.tuples(st.booleans(), st.integers(min_value=0, max_value=60)),
         min_size=1,
@@ -357,10 +467,11 @@ def test_gap_index_scan_wraps_in_address_order():
     ),
     sizes=st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=6),
 )
-def test_size_treap_best_and_worst_fit_agree_with_a_sorted_list(script, sizes):
-    """Pin the size-ordered treap to the flat sorted-list oracle it replaced:
-    after every add/remove, best_fit is the bisect ceiling of the request and
-    worst_fit is the lowest-addressed entry of the maximum length."""
+
+
+def _check_size_order_against_sorted_list(script, sizes, check_buckets=False):
+    """After every add/remove, best_fit is the bisect ceiling of the request
+    and worst_fit is the lowest-addressed entry of the maximum length."""
     from bisect import bisect_left, insort
 
     gaps = GapIndex()
@@ -378,6 +489,8 @@ def test_size_treap_best_and_worst_fit_agree_with_a_sorted_list(script, sizes):
                 continue
             gaps.remove(start)
             del oracle[bisect_left(oracle, (length, start))]
+        if check_buckets:
+            assert_bucket_invariants(gaps)
         for size in sizes:
             pos = bisect_left(oracle, (size,))
             expected_best = oracle[pos][1] if pos < len(oracle) else None
@@ -388,3 +501,17 @@ def test_size_treap_best_and_worst_fit_agree_with_a_sorted_list(script, sizes):
                 expected_worst = oracle[bisect_left(oracle, (oracle[-1][0],))][1]
             assert gaps.worst_fit(size) == expected_worst, (size, oracle)
     assert gaps.total_free == sum(length for length, _ in oracle)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@size_order_cases
+def test_size_order_best_and_worst_fit_agree_with_a_sorted_list(script, sizes):
+    """Pin the bucketed size order to the flat sorted-list oracle."""
+    _check_size_order_against_sorted_list(script, sizes)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@size_order_cases
+def test_size_order_best_and_worst_fit_agree_with_a_sorted_list_in_tiny_buckets(script, sizes):
+    with tiny_buckets():
+        _check_size_order_against_sorted_list(script, sizes, check_buckets=True)
