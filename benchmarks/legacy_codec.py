@@ -1,21 +1,30 @@
-"""The pre-block-index v2 decoder, preserved as a benchmark baseline.
+"""The legacy v0/v2 trace formats: builders and the pre-block-index decoder.
 
-This is the reader `repro.workloads.binary` shipped before the codec
-raw-speed pass (bounded-buffer ``_RecordStream``, per-field method calls),
-kept verbatim minus telemetry.  ``bench_trace_io`` decodes the same v2 file
-through this module and through the live codec and asserts the live one is
-at least 25% faster — a machine-independent throughput guard, since both
-sides run on the same interpreter and hardware.
+No writer in :mod:`repro.workloads` produces v0 or v2 any more, but every
+reader must keep accepting them.  :func:`save_legacy_v0` hand-writes v0
+text and :func:`save_legacy_v2` builds v2 files from the v3 encoding, for
+the tests and benchmarks that check this.
 
-Not a public API; nothing outside the benchmarks should import this.
+The decoder is the reader `repro.workloads.binary` shipped before the
+codec raw-speed pass (bounded-buffer ``_RecordStream``, per-field method
+calls), kept verbatim minus telemetry.  ``bench_trace_io`` decodes the
+same v2 file through this module and through the live codec and asserts
+the live one is at least 25% faster — a machine-independent throughput
+guard, since both sides run on the same interpreter and hardware.
+
+Not a public API; only the benchmarks and the tests import this.
 """
 
+import io
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator
 
+from repro.workloads import save_trace
 from repro.workloads.base import Request
+from repro.workloads.binary import encode_varint
 
 MAGIC = b"\x93RPTRACE"
 LEGACY_VERSION = 2
@@ -254,3 +263,49 @@ def iter_legacy_trace(path) -> Iterator[Request]:
     with open(path, "rb") as handle:
         header = read_legacy_header(handle, path)
         yield from iter_legacy_records(handle, header, path)
+
+
+def save_legacy_v0(trace, path) -> None:
+    """Hand-write ``trace`` to ``path`` in the headerless v0 text format
+    (names are written raw, so they must be free of whitespace)."""
+    lines = [f"# trace {trace.label}"]
+    for request in trace:
+        if request.is_insert:
+            lines.append(f"I {request.name} {request.size}")
+        else:
+            lines.append(f"D {request.name}")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def save_legacy_v2(trace, path, metadata=None, compress=False) -> None:
+    """Write ``trace`` to ``path`` as a v2 file, built from its v3 encoding.
+
+    A v2 body is byte for byte the records of one v3 block with an empty
+    snapshot, then the END tag and the varint record count, under one
+    whole-body zlib stream when compressed.  The header is v3's, re-headed
+    as version 2.  ``metadata`` merges over ``trace.metadata`` as in
+    :func:`~repro.workloads.save_trace`.
+    """
+    save_trace(trace, path, metadata=metadata, version=3, block_records=sys.maxsize)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    reader = io.BytesIO(data)
+    reader.seek(len(MAGIC) + 2)  # past v3's one-byte version varint and flags
+    header_end = _read_varint_from(reader, "header length", path) + reader.tell()
+    reader.seek(header_end)
+    records, body = 0, b""
+    if reader.read(1):  # the single block; an empty trace has none
+        records = _read_varint_from(reader, "block record count", path)
+        _read_varint_from(reader, "block entry count", path)  # 0: nothing live yet
+        _read_varint_from(reader, "block snapshot length", path)  # 0
+        body_length = _read_varint_from(reader, "block body length", path)
+        body = _read_exact_from(reader, body_length, "block body", path)
+    body += bytes([_TAG_END]) + encode_varint(records)
+    if compress:
+        body = zlib.compress(body)
+    flags = _FLAG_ZLIB if compress else 0
+    with open(path, "wb") as handle:
+        handle.write(
+            MAGIC + bytes([LEGACY_VERSION, flags]) + data[len(MAGIC) + 2 : header_end] + body
+        )

@@ -44,7 +44,9 @@ Axis entries are resolved against the registries at the bottom of this
 module *lazily*, inside the executor worker: an unknown kind or a bad
 parameter becomes a per-cell error record instead of aborting the sweep.
 ``CampaignSpec.validate()`` performs the same checks eagerly for callers who
-want to fail fast before burning CPU time.
+want to fail fast before burning CPU time.  Observer entries are the
+exception: they attach to every cell, so loading the spec builds them once
+and a bad one raises :class:`SpecError` straight away.
 """
 
 from __future__ import annotations
@@ -203,6 +205,10 @@ class CampaignSpec:
             spec.devices = [normalise_entry(e) for e in raw["devices"]]
         if "observers" in raw:
             spec.observers = [normalise_entry(e) for e in raw["observers"]]
+            # Observers attach to every cell, so a bad entry would fail every
+            # cell at run time; refuse the spec here instead.
+            for entry in spec.observers:
+                build_observer(entry)
         if not spec.workloads:
             raise SpecError("campaign spec needs at least one workload")
         if not spec.allocators:

@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.events import FlushRecord, MoveEvent, RequestRecord
 from repro.obs.telemetry import get_telemetry
 from repro.workloads.base import Request
+from repro.workloads.replay import check_writer_options, open_trace_writer
 
 
 @dataclass
@@ -595,12 +596,14 @@ class TraceRecorderObserver(Observer):
     """Stream the replayed requests straight to an on-disk trace file.
 
     Attaching this observer to a live engine run records the workload it
-    served — synthetic, adversarial, or generated on the fly — as a v2 (or
-    v0/v1) trace file via the same streaming
+    served — synthetic, adversarial, or generated on the fly — as a v3 (or
+    v1) trace file via the same streaming
     :func:`~repro.workloads.replay.open_trace_writer` path ``repro trace
     convert`` uses, so a multi-million-request run is captured without ever
     materialising it.  If the replay raises, the partial file is aborted and
-    left truncation-detectable (a v2 reader refuses it loudly).
+    left truncation-detectable (a v3 reader refuses it loudly).  The format
+    and compress settings are checked at construction, so a bad campaign
+    spec fails when it loads rather than in every cell.
 
     In a campaign spec, ``"{cell}"`` in ``path`` is replaced by the cell
     index, so parallel cells never clobber one another's recording.
@@ -614,7 +617,7 @@ class TraceRecorderObserver(Observer):
     def __init__(
         self,
         path: str,
-        version: int = 2,
+        version: int = 3,
         compress: Union[bool, str] = False,
         label: str = "recorded",
         metadata: Optional[Dict[str, Any]] = None,
@@ -624,8 +627,9 @@ class TraceRecorderObserver(Observer):
         self.path = str(path)
         self.version = int(version)
         # False / True (inline zlib) / "background" (writer-thread zlib,
-        # byte-identical output) — validated by the writer at on_attach.
+        # byte-identical output).
         self.compress = compress if isinstance(compress, str) else bool(compress)
+        check_writer_options(self.version, self.compress)
         self.label = str(label)
         self.metadata = dict(metadata) if metadata else None
         self.requests_written = 0
@@ -640,8 +644,6 @@ class TraceRecorderObserver(Observer):
         self.path = self.path.replace("{cell}", str(index))
 
     def on_attach(self, allocator) -> None:
-        from repro.workloads.replay import open_trace_writer
-
         self._writer = open_trace_writer(
             self.path,
             version=self.version,

@@ -1,26 +1,31 @@
-"""The binary trace container: compact, streamable, optionally compressed.
+"""The binary trace container: compact, streamable, seekable.
 
-Layout of a v2 file::
+v3 is the only binary format written.  Its predecessor v2 stays readable
+(see *Legacy v2* below), so old files can be upgraded with ``repro trace
+convert --format v3``.
+
+Layout of a v3 file::
 
     magic        8 bytes   b"\\x93RPTRACE" (first byte non-ASCII so text
                            parsers bail out immediately)
-    version      varint    2
-    flags        1 byte    bit 0: record body is one zlib stream
+    version      varint    3
+    flags        1 byte    bit 0: every block body is zlib-compressed
     header len   varint    byte length of the JSON header block
     header       bytes     UTF-8 JSON: {"label": str, "meta": {...}}
-    body         records   (zlib-compressed as a whole when flagged)
+    blocks       0x05 ...  self-contained groups of records (below)
+    END          0x00 ...  record count, footer index, fixed-size trailer
 
-The body is a sequence of varint-encoded records over a *live-scoped
-interned name table*: an insert binds its name to an integer id (the most
-recently freed id, else the next fresh one — writer and reader mirror the
-same LIFO rule), a delete references the id and frees it again.  Ids are
-therefore bounded by the peak number of simultaneously *live* objects, so
-they stay one or two bytes even in traces with millions of distinct names —
-and so does the table itself, which is what keeps both ends of the pipe
-streaming.  Name bytes are *front-coded*: each name-carrying record stores
-the byte length it shares with the previously written name plus the new
-suffix, which collapses the ``obj-000123``-style names synthetic workloads
-generate to a couple of bytes.
+Records are varints over a *live-scoped interned name table*: an insert
+binds its name to an integer id (the most recently freed id, else the next
+fresh one — writer and reader mirror the same LIFO rule), a delete
+references the id and frees it again.  Ids are therefore bounded by the
+peak number of simultaneously *live* objects, so they stay one or two bytes
+even in traces with millions of distinct names — and so does the table
+itself, which is what keeps both ends of the pipe streaming.  Name bytes
+are *front-coded*: each name-carrying record stores the byte length it
+shares with the previously written name plus the new suffix, which
+collapses the ``obj-000123``-style names synthetic workloads generate to a
+couple of bytes.
 
     0x01  INSERT, new name:   varint shared-prefix-len, varint suffix-len,
                               suffix bytes, varint size   (binds an id)
@@ -29,19 +34,9 @@ generate to a couple of bytes.
     0x03  DELETE, live name:  varint name-id              (frees the id)
     0x04  DELETE, other name: varint shared-prefix-len, varint suffix-len,
                               suffix bytes                (binds nothing)
-    0x00  END trailer:        varint total record count
 
-The END trailer makes truncation detectable: a reader that hits EOF before
-the trailer (or whose record count disagrees with it) reports a truncated
-file instead of silently yielding a prefix.  All varints are unsigned
-LEB128.
-
-v3: seekable blocks
--------------------
-
-A v3 file shares the magic/flags/header layout (version varint 3; flag
-bit 0 now means *per-block* zlib) but groups records into self-contained
-**blocks** that each restart the interned-name table::
+All varints are unsigned LEB128.  Records are grouped into **blocks** that
+each restart the interned-name table::
 
     0x05  BLOCK:  varint record-count      records encoded in this block
                   varint entry-count       objects live at block entry
@@ -71,11 +66,19 @@ on.  Truncation stays loud: every byte before the trailer is needed to
 reach the END record, the footer must agree with the blocks actually
 read, and the trailer offset must point back at the END tag.
 
+Legacy v2
+---------
+
+A v2 file has the same magic and header with version 2, but flag bit 0
+means *one* zlib stream over the whole body, and the body is the records
+of a single block with an empty snapshot, followed by ``0x00`` plus a
+varint record count — no block framing, no footer.  One record loop,
+:func:`_decode_records`, decodes a v3 block and a v2 body alike.
+
 Everything here is streaming: :class:`BinaryTraceWriter` and
 :func:`iter_binary_records` hold an I/O buffer plus per-*live*-object state
-(the id table and free-id stack, and for v3 one block's worth of bytes),
-never anything proportional to the trace length or the number of distinct
-names.
+(the id table and free-id stack, and one block's worth of bytes), never
+anything proportional to the trace length or the number of distinct names.
 """
 
 from __future__ import annotations
@@ -88,14 +91,14 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.faults.injector import fault_point, fault_write
+from repro.faults.injector import fault_write
 from repro.obs.telemetry import get_telemetry
 from repro.workloads.base import DELETE, INSERT, Request
 
 #: First bytes of every binary trace file.
 MAGIC = b"\x93RPTRACE"
-#: The container version written when none is requested.
-BINARY_FORMAT_VERSION = 2
+#: The only binary container version written (v2 is read-only).
+BINARY_FORMAT_VERSION = 3
 #: Every binary container version this module reads.
 KNOWN_BINARY_VERSIONS = (2, 3)
 #: Records per v3 block when the writer is not told otherwise.
@@ -291,7 +294,7 @@ def read_binary_header(handle, path) -> BinaryHeader:
     )
 
 
-def _decode_varint_slow(buf, pos: int, first: int, path, count: int):
+def _decode_varint_slow(buf, pos: int, first: int, where: str, index: int):
     """Continuation of an inline varint decode whose first byte had the
     high bit set.  Raises IndexError past the end of ``buf`` (the caller's
     refill/truncation logic handles it)."""
@@ -305,9 +308,185 @@ def _decode_varint_slow(buf, pos: int, first: int, path, count: int):
             return value, pos
         shift += 7
         if shift > 63:
+            raise TraceFormatError(f"{where} {index}: corrupt varint (over 9 bytes)")
+
+
+def _decode_records(
+    buf: bytes,
+    source: Optional[_BodySource],
+    names: List[str],
+    previous_name: bytes,
+    expected: int,
+    path,
+    block: Optional[int],
+) -> Iterator[Request]:
+    """The one record loop: yield the requests of a v3 block or a v2 body.
+
+    The interned-name table starts as ``names`` bound to ids
+    ``0..len(names)-1`` and front-coding starts from ``previous_name`` —
+    a v3 block's snapshot, or nothing for a v2 body.  A v3 block
+    (``source`` None, ``buf`` its whole body) must hold exactly
+    ``expected`` records and no further bytes.  A v2 body (``expected``
+    -1) is pulled chunk by chunk from ``source`` and ends at its END tag,
+    whose declared count is checked; the record count is returned.
+
+    Each iteration decodes one record from ``buf`` with inline varint fast
+    paths; running off the buffer raises IndexError, and the record is
+    retried after a refill.  State (count, bindings, front-coding) is only
+    touched after a record decodes completely, so a retry never replays a
+    half-applied record.
+    """
+    where = f"{path}: record" if block is None else f"{path}: block {block}, record"
+    end_tag = _TAG_END if source is not None else -1
+    bound: Dict[int, str] = dict(enumerate(names))
+    free_ids: List[int] = []  # LIFO pool mirroring the writer's id assignment
+    next_id = len(names)
+    count = 0
+    pos = 0
+    while count != expected:
+        record_start = pos
+        try:
+            tag = buf[pos]
+            pos += 1
+            if tag == _TAG_INSERT_NEW or tag == _TAG_DELETE_NEW:
+                prefix = buf[pos]
+                pos += 1
+                if prefix >= 0x80:
+                    prefix, pos = _decode_varint_slow(buf, pos, prefix, where, count + 1)
+                suffix_len = buf[pos]
+                pos += 1
+                if suffix_len >= 0x80:
+                    suffix_len, pos = _decode_varint_slow(buf, pos, suffix_len, where, count + 1)
+                end = pos + suffix_len
+                if end > len(buf):
+                    raise IndexError
+                suffix = buf[pos:end]
+                pos = end
+                if tag == _TAG_INSERT_NEW:
+                    size = buf[pos]
+                    pos += 1
+                    if size >= 0x80:
+                        size, pos = _decode_varint_slow(buf, pos, size, where, count + 1)
+            elif tag == _TAG_DELETE_REF or tag == _TAG_INSERT_REF:
+                name_id = buf[pos]
+                pos += 1
+                if name_id >= 0x80:
+                    name_id, pos = _decode_varint_slow(buf, pos, name_id, where, count + 1)
+                if tag == _TAG_INSERT_REF:
+                    size = buf[pos]
+                    pos += 1
+                    if size >= 0x80:
+                        size, pos = _decode_varint_slow(buf, pos, size, where, count + 1)
+            elif tag == end_tag:
+                declared = buf[pos]
+                pos += 1
+                if declared >= 0x80:
+                    declared, pos = _decode_varint_slow(buf, pos, declared, where, count + 1)
+            else:
+                raise TraceFormatError(
+                    f"{where} {count + 1}: unknown record tag 0x{tag:02x}"
+                )
+        except IndexError:
+            chunk = source.next_chunk() if source is not None else b""
+            if chunk:
+                buf = buf[record_start:] + chunk
+                pos = 0
+                continue
+            if source is None:
+                raise TraceFormatError(
+                    f"{path}: block {block}: truncated record data (body ends "
+                    f"mid-record; {count} of {expected} record(s) decoded)"
+                ) from None
             raise TraceFormatError(
-                f"{path}: record {count}: corrupt varint (over 9 bytes)"
-            )
+                f"{path}: truncated trace file (end of data before the END "
+                f"trailer; {count} record(s) read)"
+            ) from None
+
+        # The record decoded completely; apply it.
+        if tag == _TAG_DELETE_REF:
+            count += 1
+            try:
+                name = bound.pop(name_id)
+            except KeyError:
+                raise TraceFormatError(
+                    f"{where} {count}: name id {name_id} references an unbound "
+                    "name (never inserted, or already deleted)"
+                ) from None
+            free_ids.append(name_id)
+            request = _new_request(Request)
+            _set_attr(request, "op", DELETE)
+            _set_attr(request, "name", name)
+            _set_attr(request, "size", 0)
+            yield request
+        elif tag == _TAG_INSERT_NEW or tag == _TAG_DELETE_NEW:
+            count += 1
+            if prefix:
+                if prefix > len(previous_name):
+                    raise TraceFormatError(
+                        f"{where} {count}: name prefix length {prefix} exceeds "
+                        f"the previous name's {len(previous_name)} bytes"
+                    )
+                raw = previous_name[:prefix] + suffix
+            else:
+                raw = suffix
+            previous_name = raw
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise TraceFormatError(
+                    f"{where} {count}: undecodable name: {error}"
+                ) from error
+            request = _new_request(Request)
+            if tag == _TAG_INSERT_NEW:
+                if size < 1:
+                    raise TraceFormatError(
+                        f"{where} {count}: insert with non-positive size {size}"
+                    )
+                if free_ids:
+                    bound[free_ids.pop()] = name
+                else:
+                    bound[next_id] = name
+                    next_id += 1
+                _set_attr(request, "op", INSERT)
+                _set_attr(request, "size", size)
+            else:
+                _set_attr(request, "op", DELETE)
+                _set_attr(request, "size", 0)
+            _set_attr(request, "name", name)
+            yield request
+        elif tag == _TAG_INSERT_REF:
+            count += 1
+            try:
+                name = bound[name_id]
+            except KeyError:
+                raise TraceFormatError(
+                    f"{where} {count}: name id {name_id} references an unbound "
+                    "name (never inserted, or already deleted)"
+                ) from None
+            if size < 1:
+                raise TraceFormatError(
+                    f"{where} {count}: insert with non-positive size {size}"
+                )
+            request = _new_request(Request)
+            _set_attr(request, "op", INSERT)
+            _set_attr(request, "name", name)
+            _set_attr(request, "size", size)
+            yield request
+        else:  # the END tag of a v2 body
+            if declared != count:
+                raise TraceFormatError(
+                    f"{path}: record count mismatch: END trailer declares {declared}, "
+                    f"read {count}"
+                )
+            if pos != len(buf):
+                raise TraceFormatError(f"{path}: trailing data after the END trailer")
+            source.check_no_trailing()
+            return count
+    if pos != len(buf):
+        raise TraceFormatError(
+            f"{path}: block {block}: trailing bytes after the declared records"
+        )
+    return count
 
 
 def iter_binary_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
@@ -321,185 +500,19 @@ def iter_binary_records(handle, header: BinaryHeader, path) -> Iterator[Request]
     if header.version == 3:
         yield from _iter_v3_records(handle, header, path)
         return
-
     source = _BodySource(handle, compressed=header.compressed, path=path)
-    bound: Dict[int, str] = {}  # live name-id bindings
-    free_ids: List[int] = []  # LIFO pool mirroring the writer's id assignment
-    next_id = 0
-    previous_name = b""  # front-coding state
-    count = 0
-    buf = b""
-    pos = 0
+    count = yield from _decode_records(b"", source, [], b"", -1, path, None)
+    # Cold path: counters are pushed once per completed file, so the
+    # per-record decode loop never touches telemetry.
+    _count_decoded(count, source.raw_bytes)
 
-    # One iteration decodes one record from the local buffer with inline
-    # varint fast paths; running off the buffer raises IndexError, the
-    # record is rewound, the buffer refilled, and the record retried.
-    # State (count, bindings, front-coding) is only touched after a record
-    # decodes completely, so a retry never replays a half-applied record.
-    while True:
-        record_start = pos
-        try:
-            tag = buf[pos]
-            pos += 1
-            if tag == _TAG_INSERT_NEW or tag == _TAG_DELETE_NEW:
-                prefix = buf[pos]
-                pos += 1
-                if prefix >= 0x80:
-                    prefix, pos = _decode_varint_slow(buf, pos, prefix, path, count)
-                suffix_len = buf[pos]
-                pos += 1
-                if suffix_len >= 0x80:
-                    suffix_len, pos = _decode_varint_slow(buf, pos, suffix_len, path, count)
-                end = pos + suffix_len
-                if end > len(buf):
-                    raise IndexError
-                suffix = buf[pos:end]
-                pos = end
-                if tag == _TAG_INSERT_NEW:
-                    size = buf[pos]
-                    pos += 1
-                    if size >= 0x80:
-                        size, pos = _decode_varint_slow(buf, pos, size, path, count)
-                else:
-                    size = 0
-            elif tag == _TAG_DELETE_REF or tag == _TAG_INSERT_REF:
-                name_id = buf[pos]
-                pos += 1
-                if name_id >= 0x80:
-                    name_id, pos = _decode_varint_slow(buf, pos, name_id, path, count)
-                if tag == _TAG_INSERT_REF:
-                    size = buf[pos]
-                    pos += 1
-                    if size >= 0x80:
-                        size, pos = _decode_varint_slow(buf, pos, size, path, count)
-            elif tag == _TAG_END:
-                declared = buf[pos]
-                pos += 1
-                if declared >= 0x80:
-                    declared, pos = _decode_varint_slow(buf, pos, declared, path, count)
-            else:
-                raise TraceFormatError(
-                    f"{path}: record {count + 1}: unknown record tag 0x{tag:02x}"
-                )
-        except IndexError:
-            chunk = source.next_chunk()
-            if not chunk:
-                raise TraceFormatError(
-                    f"{path}: truncated trace file (end of data before the END "
-                    f"trailer; {count} record(s) read)"
-                ) from None
-            buf = buf[record_start:] + chunk
-            pos = 0
-            continue
 
-        # The record decoded completely; apply it.
-        if tag == _TAG_INSERT_NEW:
-            count += 1
-            if prefix:
-                if prefix > len(previous_name):
-                    raise TraceFormatError(
-                        f"{path}: record {count}: name prefix length {prefix} exceeds "
-                        f"the previous name's {len(previous_name)} bytes"
-                    )
-                raw = previous_name[:prefix] + suffix
-            else:
-                raw = suffix
-            previous_name = raw
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise TraceFormatError(
-                    f"{path}: record {count}: undecodable name: {error}"
-                ) from error
-            if free_ids:
-                bound[free_ids.pop()] = name
-            else:
-                bound[next_id] = name
-                next_id += 1
-            if size < 1:
-                raise TraceFormatError(
-                    f"{path}: record {count}: insert with non-positive size {size}"
-                )
-            request = _new_request(Request)
-            _set_attr(request, "op", INSERT)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", size)
-            yield request
-        elif tag == _TAG_DELETE_REF:
-            count += 1
-            try:
-                name = bound.pop(name_id)
-            except KeyError:
-                raise TraceFormatError(
-                    f"{path}: record {count}: name id {name_id} references an unbound "
-                    "name (never inserted, or already deleted)"
-                ) from None
-            free_ids.append(name_id)
-            request = _new_request(Request)
-            _set_attr(request, "op", DELETE)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", 0)
-            yield request
-        elif tag == _TAG_INSERT_REF:
-            count += 1
-            try:
-                name = bound[name_id]
-            except KeyError:
-                raise TraceFormatError(
-                    f"{path}: record {count}: name id {name_id} references an unbound "
-                    "name (never inserted, or already deleted)"
-                ) from None
-            if size < 1:
-                raise TraceFormatError(
-                    f"{path}: record {count}: insert with non-positive size {size}"
-                )
-            request = _new_request(Request)
-            _set_attr(request, "op", INSERT)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", size)
-            yield request
-        elif tag == _TAG_DELETE_NEW:
-            count += 1
-            if prefix:
-                if prefix > len(previous_name):
-                    raise TraceFormatError(
-                        f"{path}: record {count}: name prefix length {prefix} exceeds "
-                        f"the previous name's {len(previous_name)} bytes"
-                    )
-                raw = previous_name[:prefix] + suffix
-            else:
-                raw = suffix
-            previous_name = raw
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise TraceFormatError(
-                    f"{path}: record {count}: undecodable name: {error}"
-                ) from error
-            request = _new_request(Request)
-            _set_attr(request, "op", DELETE)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", 0)
-            yield request
-        else:  # _TAG_END
-            if declared != count:
-                raise TraceFormatError(
-                    f"{path}: record count mismatch: END trailer declares {declared}, "
-                    f"read {count}"
-                )
-            if pos != len(buf):
-                raise TraceFormatError(
-                    f"{path}: trailing data after the END trailer"
-                )
-            source.check_no_trailing()
-            # Cold path: counters are pushed once per completed file, so the
-            # per-record decode loop never touches telemetry.
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.add("trace_io.decode_records", count)
-                telemetry.add("trace_io.decode_bytes", source.raw_bytes)
-                telemetry.add("trace_io.decode_files")
-            return
+def _count_decoded(records: int, raw_bytes: int) -> None:
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        telemetry.add("trace_io.decode_records", records)
+        telemetry.add("trace_io.decode_bytes", raw_bytes)
+        telemetry.add("trace_io.decode_files")
 
 
 # ------------------------------------------------------------------ v3 reader
@@ -518,16 +531,17 @@ def _decode_snapshot(
     prev: Optional[bytes] = None
     raw = b""
     where = f"block {block} snapshot"
+    entry_where = f"{path}: {where}, entry"
     try:
-        for _ in range(entry_count):
+        for entry in range(1, entry_count + 1):
             prefix = data[pos]
             pos += 1
             if prefix >= 0x80:
-                prefix, pos = _decode_varint_slow(data, pos, prefix, path, block)
+                prefix, pos = _decode_varint_slow(data, pos, prefix, entry_where, entry)
             suffix_len = data[pos]
             pos += 1
             if suffix_len >= 0x80:
-                suffix_len, pos = _decode_varint_slow(data, pos, suffix_len, path, block)
+                suffix_len, pos = _decode_varint_slow(data, pos, suffix_len, entry_where, entry)
             end = pos + suffix_len
             if end > len(data):
                 raise IndexError
@@ -541,7 +555,7 @@ def _decode_snapshot(
             size = data[pos]
             pos += 1
             if size >= 0x80:
-                size, pos = _decode_varint_slow(data, pos, size, path, block)
+                size, pos = _decode_varint_slow(data, pos, size, entry_where, entry)
             if prev is not None and raw <= prev:
                 raise TraceFormatError(
                     f"{path}: {where}: entries not in sorted name order"
@@ -566,139 +580,6 @@ def _decode_snapshot(
     if pos != len(data):
         raise TraceFormatError(f"{path}: {where}: trailing bytes after the entries")
     return names, sizes, raw
-
-
-def _decode_block_records(
-    body: bytes, names: List[str], previous_name: bytes, expected: int, path, block: int
-) -> Iterator[Request]:
-    """Yield exactly ``expected`` requests from one in-memory block body.
-
-    The interned-name table starts as the snapshot ``names`` bound to ids
-    ``0..len(names)-1``; front-coding starts from ``previous_name`` (the
-    last snapshot name).  The body must contain exactly the declared
-    records with no bytes left over.
-    """
-    bound: Dict[int, str] = dict(enumerate(names))
-    free_ids: List[int] = []
-    next_id = len(names)
-    count = 0
-    pos = 0
-    where = f"block {block}"
-    try:
-        while count < expected:
-            tag = body[pos]
-            pos += 1
-            count += 1
-            if tag == _TAG_INSERT_NEW or tag == _TAG_DELETE_NEW:
-                prefix = body[pos]
-                pos += 1
-                if prefix >= 0x80:
-                    prefix, pos = _decode_varint_slow(body, pos, prefix, path, count)
-                suffix_len = body[pos]
-                pos += 1
-                if suffix_len >= 0x80:
-                    suffix_len, pos = _decode_varint_slow(body, pos, suffix_len, path, count)
-                end = pos + suffix_len
-                if end > len(body):
-                    raise IndexError
-                if prefix:
-                    if prefix > len(previous_name):
-                        raise TraceFormatError(
-                            f"{path}: {where}, record {count}: name prefix length "
-                            f"{prefix} exceeds the previous name's "
-                            f"{len(previous_name)} bytes"
-                        )
-                    raw = previous_name[:prefix] + body[pos:end]
-                else:
-                    raw = body[pos:end]
-                pos = end
-                previous_name = raw
-                try:
-                    name = raw.decode("utf-8")
-                except UnicodeDecodeError as error:
-                    raise TraceFormatError(
-                        f"{path}: {where}, record {count}: undecodable name: {error}"
-                    ) from error
-                if tag == _TAG_INSERT_NEW:
-                    size = body[pos]
-                    pos += 1
-                    if size >= 0x80:
-                        size, pos = _decode_varint_slow(body, pos, size, path, count)
-                    if size < 1:
-                        raise TraceFormatError(
-                            f"{path}: {where}, record {count}: insert with "
-                            f"non-positive size {size}"
-                        )
-                    if free_ids:
-                        bound[free_ids.pop()] = name
-                    else:
-                        bound[next_id] = name
-                        next_id += 1
-                    request = _new_request(Request)
-                    _set_attr(request, "op", INSERT)
-                    _set_attr(request, "name", name)
-                    _set_attr(request, "size", size)
-                else:
-                    request = _new_request(Request)
-                    _set_attr(request, "op", DELETE)
-                    _set_attr(request, "name", name)
-                    _set_attr(request, "size", 0)
-                yield request
-            elif tag == _TAG_DELETE_REF or tag == _TAG_INSERT_REF:
-                name_id = body[pos]
-                pos += 1
-                if name_id >= 0x80:
-                    name_id, pos = _decode_varint_slow(body, pos, name_id, path, count)
-                if tag == _TAG_DELETE_REF:
-                    try:
-                        name = bound.pop(name_id)
-                    except KeyError:
-                        raise TraceFormatError(
-                            f"{path}: {where}, record {count}: name id {name_id} "
-                            "references an unbound name (never inserted, or "
-                            "already deleted)"
-                        ) from None
-                    free_ids.append(name_id)
-                    request = _new_request(Request)
-                    _set_attr(request, "op", DELETE)
-                    _set_attr(request, "name", name)
-                    _set_attr(request, "size", 0)
-                else:
-                    try:
-                        name = bound[name_id]
-                    except KeyError:
-                        raise TraceFormatError(
-                            f"{path}: {where}, record {count}: name id {name_id} "
-                            "references an unbound name (never inserted, or "
-                            "already deleted)"
-                        ) from None
-                    size = body[pos]
-                    pos += 1
-                    if size >= 0x80:
-                        size, pos = _decode_varint_slow(body, pos, size, path, count)
-                    if size < 1:
-                        raise TraceFormatError(
-                            f"{path}: {where}, record {count}: insert with "
-                            f"non-positive size {size}"
-                        )
-                    request = _new_request(Request)
-                    _set_attr(request, "op", INSERT)
-                    _set_attr(request, "name", name)
-                    _set_attr(request, "size", size)
-                yield request
-            else:
-                raise TraceFormatError(
-                    f"{path}: {where}, record {count}: unknown record tag 0x{tag:02x}"
-                )
-    except IndexError:
-        raise TraceFormatError(
-            f"{path}: {where}: truncated record data (body ends mid-record; "
-            f"{count - 1} of {expected} record(s) decoded)"
-        ) from None
-    if pos != len(body):
-        raise TraceFormatError(
-            f"{path}: {where}: trailing bytes after the declared records"
-        )
 
 
 def _read_block_parts(handle, compressed: bool, path, block: int):
@@ -743,8 +624,8 @@ def _iter_v3_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
             record_count, names, _sizes, last_raw, body = _read_block_parts(
                 handle, header.compressed, path, block
             )
-            yield from _decode_block_records(
-                body, names, last_raw, record_count, path, block
+            yield from _decode_records(
+                body, None, names, last_raw, record_count, path, block
             )
             blocks_seen.append((offset, record_count))
             count += record_count
@@ -787,11 +668,7 @@ def _iter_v3_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
                 )
             if handle.read(1):
                 raise TraceFormatError(f"{path}: trailing data after the END trailer")
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.add("trace_io.decode_records", count)
-                telemetry.add("trace_io.decode_bytes", handle.tell() - start_offset)
-                telemetry.add("trace_io.decode_files")
+            _count_decoded(count, handle.tell() - start_offset)
             return
         else:
             raise TraceFormatError(
@@ -871,8 +748,8 @@ class BlockIndex:
                         f"{self.path}: block {block.index} declares {record_count} "
                         f"record(s), footer index says {block.records}"
                     )
-                yield from _decode_block_records(
-                    body, names, last_raw, record_count, self.path, block.index
+                yield from _decode_records(
+                    body, None, names, last_raw, record_count, self.path, block.index
                 )
         self._count_seeks(len(blocks))
 
@@ -1001,8 +878,8 @@ def read_trace_tail(path: Union[str, os.PathLike]) -> TraceTail:
                     handle, header.compressed, path, blocks
                 )
                 decoded = list(
-                    _decode_block_records(
-                        body, names, last_raw, record_count, path, blocks
+                    _decode_records(
+                        body, None, names, last_raw, record_count, path, blocks
                     )
                 )
             except TraceFormatError:
@@ -1013,14 +890,23 @@ def read_trace_tail(path: Union[str, os.PathLike]) -> TraceTail:
 
 
 # --------------------------------------------------------------------- writer
-class BinaryTraceWriter:
-    """Streaming writer for the binary trace formats (v2 and v3).
+def check_compress_mode(compress: Union[bool, str]) -> None:
+    """Reject a ``compress`` value no binary writer understands."""
+    if isinstance(compress, str) and compress != "background":
+        raise ValueError(
+            f"unknown compress mode {compress!r}; "
+            "use False, True (inline), or 'background'"
+        )
 
-    Usable as a context manager; requests are encoded and flushed through a
-    bounded buffer, so writing a 10M-request trace never holds it in memory:
-    the only growing state is the live-name table plus the free-id pool
-    (both bounded by the peak number of simultaneously live objects) and,
-    for v3, one block's worth of encoded records.
+
+class BinaryTraceWriter:
+    """Streaming writer for the v3 binary trace format.
+
+    Usable as a context manager; requests are encoded into one block's
+    worth of buffer at a time, so writing a 10M-request trace never holds
+    it in memory: the only other growing state is the live-name table plus
+    the free-id pool (both bounded by the peak number of simultaneously
+    live objects).
     """
 
     def __init__(
@@ -1030,23 +916,12 @@ class BinaryTraceWriter:
         metadata: Optional[Dict[str, Any]] = None,
         compress: Union[bool, str] = False,
         compresslevel: int = 6,
-        version: int = BINARY_FORMAT_VERSION,
         block_records: int = DEFAULT_BLOCK_RECORDS,
     ) -> None:
-        if version not in KNOWN_BINARY_VERSIONS:
-            raise ValueError(
-                f"unknown binary trace version {version!r}; known: "
-                + ", ".join(str(v) for v in KNOWN_BINARY_VERSIONS)
-            )
-        if version == 3 and block_records < 1:
+        if block_records < 1:
             raise ValueError(f"v3 block size must be >= 1 record, got {block_records}")
-        if isinstance(compress, str) and compress != "background":
-            raise ValueError(
-                f"unknown compress mode {compress!r}; "
-                "use False, True (inline), or 'background'"
-            )
+        check_compress_mode(compress)
         self.path = path
-        self.version = version
         self.count = 0
         self.block_records = block_records
         header = {"label": str(label)}
@@ -1062,7 +937,7 @@ class BinaryTraceWriter:
         self._handle = open(path, "wb")
         self._handle.write(
             MAGIC
-            + encode_varint(version)
+            + encode_varint(BINARY_FORMAT_VERSION)
             + bytes([flags])
             + encode_varint(len(header_bytes))
             + header_bytes
@@ -1070,36 +945,28 @@ class BinaryTraceWriter:
         self._compressed = bool(compress)
         self._compresslevel = compresslevel
         self._background = compress == "background"
-        self._compressor = (
-            zlib.compressobj(compresslevel)
-            if compress and version == 2 and not self._background
-            else None
-        )
-        self._buffer = bytearray()
+        self._buffer = bytearray()  # the current block's encoded records
         self._bound: Dict[str, int] = {}  # live name -> id
         self._free_ids: List[int] = []  # LIFO pool, mirrored by the reader
         self._next_id = 0
         self._previous_name = b""  # front-coding state
         self._closed = False
-        # v3 state: live sizes for block-entry snapshots, the footer index,
-        # and the current block's record count.
+        # Live sizes for block-entry snapshots, the footer index, and the
+        # current block's record count.
         self._live_sizes: Dict[str, int] = {}
         self._blocks: List[Tuple[int, int]] = []  # (offset, record_count)
         self._block_count = 0
         self._pending_snapshot = b""
         self._pending_entries = 0
         # Background compression: a single writer thread owns the file
-        # handle between header and trailer — it compresses each chunk or
-        # block and writes it in submission order, so the on-disk bytes are
-        # identical to inline compression while the encode loop stays free
-        # to run.  Errors surface on the next write()/sync()/close().
+        # handle between header and trailer — it compresses each block and
+        # writes it in submission order, so the on-disk bytes are identical
+        # to inline compression while the encode loop stays free to run.
+        # Errors surface on the next write()/sync()/close().
         self._tasks: Optional[queue.Queue] = None
         self._worker: Optional[threading.Thread] = None
         self._worker_error: Optional[BaseException] = None
         if self._background:
-            self._background_compressor = (
-                zlib.compressobj(compresslevel) if version == 2 else None
-            )
             self._tasks = queue.Queue(maxsize=8)
             self._worker = threading.Thread(
                 target=self._background_loop,
@@ -1107,8 +974,7 @@ class BinaryTraceWriter:
                 daemon=True,
             )
             self._worker.start()
-        if version == 3:
-            self._start_block()
+        self._start_block()
 
     def __enter__(self) -> "BinaryTraceWriter":
         return self
@@ -1119,7 +985,7 @@ class BinaryTraceWriter:
         else:
             self.abort()
 
-    # ------------------------------------------------------------- v3 blocks
+    # ---------------------------------------------------------------- blocks
     def _start_block(self) -> None:
         """Capture the block-entry snapshot and restart the interning table.
 
@@ -1155,87 +1021,58 @@ class BinaryTraceWriter:
         self._block_count = 0
 
     def _flush_block(self) -> None:
-        """Write the buffered block (header + snapshot + body) to disk."""
-        body = bytes(self._buffer)
+        """Hand the buffered block to the writer thread, or write it now."""
+        block = (
+            bytes(self._buffer),
+            self._block_count,
+            self._pending_entries,
+            self._pending_snapshot,
+        )
         self._buffer.clear()
         if self._background:
-            self._submit(
-                (
-                    "block",
-                    (
-                        body,
-                        self._block_count,
-                        self._pending_entries,
-                        self._pending_snapshot,
-                    ),
-                )
-            )
-            return
+            if self._worker_error is not None:
+                raise self._worker_error
+            self._tasks.put(block)
+        else:
+            self._write_block(*block)
+
+    def _write_block(self, body: bytes, records: int, entries: int, snapshot: bytes) -> None:
+        """Frame one block (header + snapshot + body) and write it."""
         if self._compressed:
             body = zlib.compress(body, self._compresslevel)
         offset = self._handle.tell()
         block = (
             bytes([_TAG_BLOCK])
-            + encode_varint(self._block_count)
-            + encode_varint(self._pending_entries)
-            + encode_varint(len(self._pending_snapshot))
-            + self._pending_snapshot
+            + encode_varint(records)
+            + encode_varint(entries)
+            + encode_varint(len(snapshot))
+            + snapshot
             + encode_varint(len(body))
             + body
         )
         # Fault site: a crash mid-block must leave a truncation the reader
         # detects (the missing END trailer / footer), never a silent gap.
         fault_write("trace.write.block", self._handle, block)
-        self._blocks.append((offset, self._block_count))
-
-    # ---------------------------------------------------- background worker
-    def _submit(self, task) -> None:
-        """Hand one task to the writer thread (surfaces its last error)."""
-        if self._worker_error is not None:
-            raise self._worker_error
-        self._tasks.put(task)
+        self._blocks.append((offset, records))
 
     def _background_loop(self) -> None:
-        """The writer thread: compress and write tasks in submission order.
+        """The writer thread: compress and write blocks in submission order.
 
-        The thread is the only writer between header and trailer, so file
-        offsets recorded here (for the v3 footer) are consistent.  zlib
+        The thread is the only writer between header and trailer, so the
+        file offsets it records for the footer are consistent.  zlib
         releases the GIL, which is what lets compression overlap the
         CPU-bound encode/replay loop.  After an error the loop keeps
         draining (writing nothing) so submitters never block on a dead
         consumer; the error re-raises on the next write()/sync()/close().
         """
         while True:
-            task = self._tasks.get()
-            if task is None:
+            block = self._tasks.get()
+            if block is None:
                 self._tasks.task_done()
                 return
-            kind, payload = task
             try:
                 if self._worker_error is None:
-                    if kind == "chunk":
-                        data = self._background_compressor.compress(payload)
-                        if data:
-                            fault_write("trace.write.body", self._handle, data)
-                    elif kind == "flush":
-                        tail = self._background_compressor.flush()
-                        if tail:
-                            self._handle.write(tail)
-                    else:  # "block"
-                        body, block_count, entries, snapshot = payload
-                        body = zlib.compress(body, self._compresslevel)
-                        offset = self._handle.tell()
-                        block = (
-                            bytes([_TAG_BLOCK])
-                            + encode_varint(block_count)
-                            + encode_varint(entries)
-                            + encode_varint(len(snapshot))
-                            + snapshot
-                            + encode_varint(len(body))
-                            + body
-                        )
-                        fault_write("trace.write.block", self._handle, block)
-                        self._blocks.append((offset, block_count))
+                    self._write_block(*block)
             except BaseException as error:
                 self._worker_error = error
             finally:
@@ -1299,64 +1136,42 @@ class BinaryTraceWriter:
                 buffer.append(size)
             else:
                 buffer += encode_varint(size)
+            self._live_sizes[name] = size
+        elif name_id is None:
+            # Not live, so there is no binding or live size to drop.
+            buffer.append(_TAG_DELETE_NEW)
+            self._append_name(buffer, name.encode("utf-8"))
         else:
-            if name_id is None:
-                buffer.append(_TAG_DELETE_NEW)
-                self._append_name(buffer, name.encode("utf-8"))
+            del self._bound[name]
+            del self._live_sizes[name]
+            self._free_ids.append(name_id)
+            buffer.append(_TAG_DELETE_REF)
+            if name_id < 0x80:
+                buffer.append(name_id)
             else:
-                del self._bound[name]
-                self._free_ids.append(name_id)
-                buffer.append(_TAG_DELETE_REF)
-                if name_id < 0x80:
-                    buffer.append(name_id)
-                else:
-                    buffer += encode_varint(name_id)
+                buffer += encode_varint(name_id)
         self.count += 1
-        if self.version == 3:
-            if request.op == INSERT:
-                self._live_sizes[name] = size
-            else:
-                self._live_sizes.pop(name, None)
-            self._block_count += 1
-            if self._block_count >= self.block_records:
-                self._flush_block()
-                self._start_block()
-        elif len(buffer) >= _CHUNK:
-            self._flush_buffer()
-
-    def _flush_buffer(self) -> None:
-        data = bytes(self._buffer)
-        self._buffer.clear()
-        if self._background:
-            if data:
-                self._submit(("chunk", data))
-            return
-        if self._compressor is not None:
-            data = self._compressor.compress(data)
-        if data:
-            fault_write("trace.write.body", self._handle, data)
+        self._block_count += 1
+        if self._block_count >= self.block_records:
+            self._flush_block()
+            self._start_block()
 
     def sync(self) -> None:
         """Flush everything written so far to the OS in decodable form.
 
-        For v3 the current partial block is written out as its own
-        (shorter) block and a fresh block begins — legal because the footer
-        records per-block counts — so after ``sync()`` every request
-        written so far sits in a complete, self-delimiting block that
+        The current partial block is written out as its own (shorter)
+        block and a fresh block begins — legal because the footer records
+        per-block counts — so after ``sync()`` every request written so far
+        sits in a complete, self-delimiting block that
         :func:`read_trace_tail` can recover even if the process dies before
-        :meth:`close`.  For v2 the record buffer is flushed (a compressed
-        v2 stream still only terminates at close, so sync merely bounds the
-        buffered bytes).  Background-compression tasks are drained first,
-        so on return the bytes have left the process.
+        :meth:`close`.  Background-compression tasks are drained first, so
+        on return the bytes have left the process.
         """
         if self._closed:
             raise ValueError(f"trace writer for {self.path} is already closed")
-        if self.version == 3:
-            if self._block_count:
-                self._flush_block()
-                self._start_block()
-        else:
-            self._flush_buffer()
+        if self._block_count:
+            self._flush_block()
+            self._start_block()
         if self._background:
             self._tasks.join()
             if self._worker_error is not None:
@@ -1364,41 +1179,30 @@ class BinaryTraceWriter:
         self._handle.flush()
 
     def close(self) -> None:
-        """Write the END trailer (and v3 footer index) and close the file
+        """Write the END trailer and footer index and close the file
         (idempotent)."""
         if self._closed:
             return
-        if self.version == 3:
-            if self._block_count:
-                self._flush_block()
-            # The footer needs the final offsets, so the writer thread (the
-            # only other writer) must be done before the trailer lands.
-            self._finish_background()
-            end_offset = self._handle.tell()
-            footer = bytearray([_TAG_END])
-            footer += encode_varint(self.count)
-            footer += encode_varint(len(self._blocks))
-            previous = 0
-            for index, (offset, records) in enumerate(self._blocks):
-                footer += encode_varint(offset if index == 0 else offset - previous)
-                footer += encode_varint(records)
-                previous = offset
-            footer += end_offset.to_bytes(8, "little")
-            footer += _FOOTER_MAGIC
-            # Fault site: a crash before the footer lands must be detected
-            # as truncation by the reader (missing END/magic), never read
-            # back as a shorter-but-valid trace.
-            fault_write("trace.write.trailer", self._handle, bytes(footer))
-        else:
-            fault_point("trace.write.trailer")
-            self._buffer.append(_TAG_END)
-            self._buffer += encode_varint(self.count)
-            self._flush_buffer()
-            if self._background:
-                self._submit(("flush", None))
-                self._finish_background()
-            elif self._compressor is not None:
-                self._handle.write(self._compressor.flush())
+        if self._block_count:
+            self._flush_block()
+        # The footer needs the final offsets, so the writer thread (the
+        # only other writer) must be done before the trailer lands.
+        self._finish_background()
+        end_offset = self._handle.tell()
+        footer = bytearray([_TAG_END])
+        footer += encode_varint(self.count)
+        footer += encode_varint(len(self._blocks))
+        previous = 0
+        for index, (offset, records) in enumerate(self._blocks):
+            footer += encode_varint(offset if index == 0 else offset - previous)
+            footer += encode_varint(records)
+            previous = offset
+        footer += end_offset.to_bytes(8, "little")
+        footer += _FOOTER_MAGIC
+        # Fault site: a crash before the footer lands must be detected as
+        # truncation by the reader (missing END/magic), never read back as
+        # a shorter-but-valid trace.
+        fault_write("trace.write.trailer", self._handle, bytes(footer))
         self._handle.close()
         self._closed = True
         # Cold path: one telemetry push per completed file, so the

@@ -1,20 +1,14 @@
-"""Trace recording and replay: four on-disk formats, one streaming core.
+"""Trace recording and replay: one streaming core over every format.
 
-Four coexisting formats are readable, with transparent detection (plus a
-transparent gzip container around any of them):
+Four formats are readable, with transparent detection (plus a transparent
+gzip container around any of them); v1 and v3 are the ones written:
 
-* **v3** (binary, seekable): like v2 but the records are grouped into
-  self-contained blocks with live-object snapshots and a footer index of
-  block offsets, so the trace can be seeked to any block and sharded
-  across worker processes (see :mod:`repro.workloads.binary` and
-  :func:`repro.workloads.binary.read_block_index`).  Written by
-  ``save_trace(..., version=3[, compress=True])``.
-
-* **v2** (binary, see :mod:`repro.workloads.binary`): magic + version
-  header, varint-encoded records with an interned name table, optional zlib
-  compression of the record body, and a JSON label/metadata block.  Written
-  by ``save_trace(..., version=2[, compress=True])``; the default binary
-  format for large (multi-million-request) traces.
+* **v3** (binary, seekable; see :mod:`repro.workloads.binary`): magic +
+  version header, varint records over a live-scoped interned name table,
+  grouped into self-contained blocks with live-object snapshots and a
+  footer index of block offsets, so the trace can be seeked to any block
+  and sharded across worker processes.  Optional zlib per block.  Written
+  by ``save_trace(..., version=3[, compress=True])``.
 
 * **v1** (text, written by default) starts with a ``# repro-trace v1``
   header line followed by optional ``# label <quoted>`` and ``# meta
@@ -30,12 +24,15 @@ transparent gzip container around any of them):
   with no safe characters), so names containing whitespace, newlines, ``#``
   or ``%`` round-trip exactly.
 
-* **v0** (the historical format, still readable and writable) has no
-  version header — just an optional leading ``# trace <label>`` comment and
-  raw ``I name size`` / ``D name`` lines split on whitespace.  Because
-  names are written raw, ``save_trace(..., version=0)`` refuses names or
-  labels containing whitespace with a clear error instead of silently
-  corrupting the file the way the original writer did.
+* **v2** (binary, read-only): the v3 records as one unblocked body, with
+  optional zlib over the whole body.
+
+* **v0** (text, read-only) has no version header — just an optional
+  leading ``# trace <label>`` comment and raw ``I name size`` / ``D name``
+  lines split on whitespace.
+
+Asking a writer for v0 or v2 is an error that names the upgrade path,
+``repro trace convert --format v1|v3``.
 
 Header lines (label / metadata) are recognised in the leading comment block
 of a text trace; later ``#`` lines are skipped as comments, except
@@ -77,80 +74,28 @@ from repro.workloads.binary import (
     DEFAULT_BLOCK_RECORDS,
     BinaryTraceWriter,
     TraceFormatError,
+    check_compress_mode,
     iter_binary_records,
     read_binary_header,
     read_block_index,
-    MAGIC as _V2_MAGIC,
+    MAGIC as _BINARY_MAGIC,
 )
 
 #: Version written by :func:`save_trace` when none is requested.
 TRACE_FORMAT_VERSION = 1
 #: All format versions :func:`load_trace` / :func:`iter_trace` understand.
 KNOWN_TRACE_VERSIONS = (0, 1, 2, 3)
+#: The format versions :func:`open_trace_writer` writes.
+WRITABLE_TRACE_VERSIONS = (1, 3)
 
 _V1_HEADER = "# repro-trace v1"
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
 # -------------------------------------------------------------------- writers
-class _WriterContextMixin:
-    """``with open_trace_writer(...) as writer:`` support for every format:
-    a clean exit closes (committing the trailer/metadata), an exception
-    aborts so a partial file is left truncation-detectable, never silently
-    valid."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-def _check_v0_token(token: str, what: str, path) -> str:
-    if token != token.strip() or any(ch.isspace() for ch in token):
-        raise ValueError(
-            f"cannot save {what} {token!r} to {path} in the v0 trace format: "
-            "it contains whitespace and would be misparsed on load; "
-            "save with version=1 (the default) instead"
-        )
-    if not token:
-        raise ValueError(f"cannot save an empty {what} to {path} in the v0 trace format")
-    return token
-
-
-class _TextTraceWriterV0(_WriterContextMixin):
-    """Streaming writer for the legacy headerless text format."""
-
-    def __init__(self, path, label: str = "trace", metadata: Optional[dict] = None) -> None:
-        if metadata:
-            raise ValueError("the v0 trace format cannot carry metadata; use version=1")
-        if "\n" in label or "\r" in label:
-            raise ValueError(f"cannot save label {label!r} with newlines in v0 format")
-        self.path = path
-        self.count = 0
-        self._handle = open(path, "w", encoding="utf-8")
-        self._handle.write(f"# trace {label}\n")
-
-    def write(self, request: Request) -> None:
-        name = _check_v0_token(str(request.name), "object name", self.path)
-        if request.is_insert:
-            self._handle.write(f"I {name} {request.size}\n")
-        else:
-            self._handle.write(f"D {name}\n")
-        self.count += 1
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def abort(self) -> None:
-        self._handle.close()
-
-
-class _TextTraceWriterV1(_WriterContextMixin):
-    """Streaming writer for the percent-encoded v1 text format."""
+class _TextTraceWriterV1:
+    """Streaming writer (and context manager) for the percent-encoded v1
+    text format."""
 
     def __init__(self, path, label: str = "trace", metadata: Optional[dict] = None) -> None:
         self.path = path
@@ -174,11 +119,38 @@ class _TextTraceWriterV1(_WriterContextMixin):
             self._handle.write(f"D {name}\n")
         self.count += 1
 
+    def __enter__(self) -> "_TextTraceWriterV1":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._handle.close()
+
     def close(self) -> None:
         self._handle.close()
 
     def abort(self) -> None:
         self._handle.close()
+
+
+def check_writer_options(version: int, compress: Union[bool, str] = False) -> None:
+    """Raise :class:`ValueError` unless ``version`` and ``compress`` name
+    something :func:`open_trace_writer` can write."""
+    if version not in WRITABLE_TRACE_VERSIONS:
+        if version in KNOWN_TRACE_VERSIONS:
+            raise ValueError(
+                f"the v{version} trace format is read-only; write v1 or v3 "
+                "(upgrade an existing file with `repro trace convert --format v1|v3`)"
+            )
+        raise ValueError(
+            f"unknown trace format version {version!r}; writable: "
+            + ", ".join(str(v) for v in WRITABLE_TRACE_VERSIONS)
+        )
+    check_compress_mode(compress)
+    if compress and version != 3:
+        raise ValueError(
+            f"compression is only supported by the binary formats, not v{version}; "
+            "pass version=3 (or convert with --format v3 --compress)"
+        )
 
 
 def open_trace_writer(
@@ -192,35 +164,23 @@ def open_trace_writer(
     """Open a streaming trace writer (``.write(request)`` / ``.close()``).
 
     This is the single write path for every format: :func:`save_trace` and
-    ``repro trace convert`` both go through it.  ``compress`` is only
-    meaningful for the binary formats (v2: one zlib stream over the body,
-    v3: zlib per block so the file stays seekable); pass
-    ``compress="background"`` to run the zlib work on a writer thread that
-    overlaps a CPU-bound producer (byte-identical output — see
+    ``repro trace convert`` both go through it.  ``version`` is 1 (text)
+    or 3 (binary).  ``compress`` is only meaningful for v3 (zlib per block,
+    so the file stays seekable); pass ``compress="background"`` to run the
+    zlib work on a writer thread that overlaps a CPU-bound producer
+    (byte-identical output — see
     :class:`~repro.workloads.binary.BinaryTraceWriter`).  ``block_records``
     sets the v3 block size.
     """
-    if compress and version not in (2, 3):
-        raise ValueError(
-            f"compression is only supported by the binary formats, not v{version}; "
-            "pass version=2 or 3 (or convert with --format v2/v3 --compress)"
-        )
-    if version == 0:
-        return _TextTraceWriterV0(path, label=label, metadata=metadata)
+    check_writer_options(version, compress)
     if version == 1:
         return _TextTraceWriterV1(path, label=label, metadata=metadata)
-    if version in (2, 3):
-        return BinaryTraceWriter(
-            path,
-            label=label,
-            metadata=metadata,
-            compress=compress,
-            version=version,
-            block_records=block_records,
-        )
-    raise ValueError(
-        f"unknown trace format version {version!r}; known: "
-        + ", ".join(str(v) for v in KNOWN_TRACE_VERSIONS)
+    return BinaryTraceWriter(
+        path,
+        label=label,
+        metadata=metadata,
+        compress=compress,
+        block_records=block_records,
     )
 
 
@@ -232,22 +192,15 @@ def save_trace(
     compress: Union[bool, str] = False,
     block_records: int = DEFAULT_BLOCK_RECORDS,
 ) -> None:
-    """Write ``trace`` to ``path`` in the requested format version.
+    """Write ``trace`` to ``path`` as v1 text (the default) or v3 binary.
 
     ``metadata`` (JSON-serialisable dict) is merged over ``trace.metadata``
-    and stored in the v1/v2/v3 header; requesting ``version=0`` with
-    metadata is an error since v0 has nowhere to put it.  ``compress=True``
-    (binary formats only) zlib-compresses the record body — one stream for
-    v2, per block for v3 so the file stays seekable.
+    and stored in the header.  ``compress=True`` (v3 only) zlib-compresses
+    each block body, so the file stays seekable.
     """
     merged = dict(trace.metadata)
     if metadata:
         merged.update(metadata)
-    if version == 0 and trace.metadata and not metadata:
-        # v0 has no metadata block; a trace that merely *carries* metadata
-        # can still be saved (dropping it), but explicitly passing metadata
-        # to a v0 save is a caller error handled by the writer.
-        merged = {}
     writer = open_trace_writer(
         path,
         version=version,
@@ -259,8 +212,8 @@ def save_trace(
     try:
         for request in trace:
             writer.write(request)
-        # close() is inside the guard: the v2 compressor buffers most bytes
-        # until close, so that is where a full disk actually surfaces.
+        # close() is inside the guard: it writes the last block and the
+        # footer, so that is where a full disk can surface.
         writer.close()
     except BaseException:
         writer.abort()
@@ -360,8 +313,8 @@ class _TraceShape:
     """Where a trace file's records live and what its header said."""
 
     container: str  # "plain" or "gzip"
-    version: int  # 0, 1, or 2
-    compressed: bool  # v2 zlib body flag
+    version: int  # 0, 1, 2, or 3
+    compressed: bool  # binary zlib flag (v2 body / v3 blocks)
     label: str
     metadata: Dict[str, Any] = field(default_factory=dict)
     header_lines: int = 0  # leading text lines consumed by the header scan
@@ -379,7 +332,7 @@ def _scan_text_header(text_handle, path) -> _TraceShape:
     if stripped.startswith("# repro-trace ") and stripped != _V1_HEADER:
         raise TraceFormatError(
             f"{path}:1: unsupported trace format {stripped!r}; this reader knows "
-            "v0, v1, and the binary v2 container"
+            "v0, v1, and the binary v2 and v3 containers"
         )
     shape = _TraceShape(
         container="plain",
@@ -433,13 +386,13 @@ def _probe(path) -> "_TraceShape":
     """Detect the container, format version, and header of ``path``."""
     handle, container = _open_container(path)
     try:
-        magic = handle.read(len(_V2_MAGIC))
+        magic = handle.read(len(_BINARY_MAGIC))
         if magic == b"" and container == "plain":
             raise TraceFormatError(
                 f"{path}: empty file; a valid trace always carries at least a header "
-                "(v0 '# trace' line, v1 '# repro-trace v1' line, or the v2 magic)"
+                "(v0 '# trace' line, v1 '# repro-trace v1' line, or the binary magic)"
             )
-        if magic == _V2_MAGIC:
+        if magic == _BINARY_MAGIC:
             handle.seek(0)
             header = read_binary_header(handle, path)
             return _TraceShape(
@@ -449,10 +402,10 @@ def _probe(path) -> "_TraceShape":
                 label=header.label,
                 metadata=header.metadata,
             )
-        if magic[:1] == _V2_MAGIC[:1]:
+        if magic[:1] == _BINARY_MAGIC[:1]:
             raise TraceFormatError(
                 f"{path}: bad magic {magic!r}; looks like a binary trace but is not "
-                "a v2 file this reader understands"
+                "a v2/v3 file this reader understands"
             )
         handle.seek(0)
         try:
@@ -461,13 +414,13 @@ def _probe(path) -> "_TraceShape":
                 raise TraceFormatError(
                     f"{path}: empty file; a valid trace always carries at least a "
                     "header (v0 '# trace' line, v1 '# repro-trace v1' line, or the "
-                    "v2 magic)"
+                    "binary magic)"
                 )
             text.seek(0)
             shape = _scan_text_header(text, path)
         except UnicodeDecodeError as error:
             raise TraceFormatError(
-                f"{path}: not a valid trace: neither the v2 binary magic nor "
+                f"{path}: not a valid trace: neither the binary trace magic nor "
                 f"decodable text ({error})"
             ) from error
         shape.container = container
@@ -523,8 +476,8 @@ def _iter_text_records(text_handle, shape: _TraceShape, path) -> Iterator[Reques
 
 class TraceFileSource:
     """A re-iterable, streaming :class:`~repro.workloads.base.RequestSource`
-    over a trace file in any known format (v0 / v1 / v2, optionally inside a
-    gzip container).
+    over a trace file in any known format (v0 / v1 / v2 / v3, optionally
+    inside a gzip container).
 
     The header (format version, label, metadata) is read eagerly at
     construction time; each ``iter()`` re-opens the file and yields
@@ -568,14 +521,15 @@ def iter_trace(path: Union[str, os.PathLike]) -> Iterator[Request]:
     """Yield the requests of a trace file one at a time (any known format).
 
     Streaming counterpart of :func:`load_trace`: peak memory is bounded by
-    the read buffer (plus, for v2, the live-scoped name table — one entry
-    per simultaneously live object), never by the trace length.
+    the read buffer (plus, for the binary formats, the live-scoped name
+    table — one entry per simultaneously live object, and for v3 one
+    block), never by the trace length.
     """
     return iter(TraceFileSource(path))
 
 
 def load_trace(path: Union[str, os.PathLike], label: str = "") -> Trace:
-    """Read a trace previously written by :func:`save_trace` (v0, v1, or v2).
+    """Read a trace file in any known format (v0, v1, v2, or v3).
 
     The format is detected from the file's first bytes (a gzip container
     around any format is unwrapped transparently); object names come back

@@ -17,18 +17,23 @@ over) and checks three invariants end to end:
 """
 
 import gzip
+import hashlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from benchmarks.legacy_codec import save_legacy_v2
 from repro.workloads import (
     Request,
     Trace,
     TraceFileSource,
     TraceFormatError,
+    UniformSizes,
+    churn_trace,
     iter_trace,
     load_trace,
+    open_trace_writer,
     read_block_index,
     save_trace,
     trace_info,
@@ -187,7 +192,7 @@ def test_v3_info_reports_blocks_and_seekability(tmp_path):
     assert info.requests == 23
 
     v2 = tmp_path / "t.v2"
-    save_trace(trace, v2, version=2)
+    save_legacy_v2(trace, v2)
     info = trace_info(v2)
     assert not info.seekable
     assert info.blocks == 0
@@ -196,7 +201,7 @@ def test_v3_info_reports_blocks_and_seekability(tmp_path):
 def test_read_block_index_returns_none_for_unseekable_files(tmp_path):
     trace = churny_trace(6, 10)
     v2 = tmp_path / "t.v2"
-    save_trace(trace, v2, version=2)
+    save_legacy_v2(trace, v2)
     assert read_block_index(v2) is None
 
     v1 = tmp_path / "t.v1"
@@ -292,7 +297,7 @@ def test_v2z_gzip_container_truncation_detected_at_every_cut(tmp_path):
     loud truncation error naming the file, never yield a silent prefix."""
     trace = churny_trace(12, 40)
     plain = tmp_path / "t.v2"
-    save_trace(trace, plain, version=2)
+    save_legacy_v2(trace, plain)
     whole = gzip.compress(plain.read_bytes())
     for cut in sorted({1, 10, len(whole) // 3, len(whole) // 2, len(whole) - 1}):
         clipped = tmp_path / f"cut-{cut}.v2.gz"
@@ -301,3 +306,50 @@ def test_v2z_gzip_container_truncation_detected_at_every_cut(tmp_path):
             list(iter_trace(clipped))
         with pytest.raises(ValueError):
             load_trace(clipped)
+
+
+# ------------------------------------------------------------- byte identity
+def pinned_requests():
+    """A seeded churn plus the two rare record kinds: a double insert
+    (INSERT_REF) and deletes of names that are not live (DELETE_NEW)."""
+    trace = churn_trace(3000, UniformSizes(1, 300), target_live=200, seed=13)
+    return list(trace) + [
+        Request.insert("dup", 9),
+        Request.insert("dup", 11),
+        Request.delete("ghost"),
+        Request.delete("dup"),
+    ]
+
+
+#: sha256 of ``pinned_requests()`` written with label "pin" and metadata
+#: {"seed": 13}, keyed by (compress, block_records, sync every 700 records).
+#: Recorded from the writer before v2 support was removed from it; inline
+#: and background compression share their pins.
+V3_SHA256 = {
+    (False, None, False): "45859230a1897f6c6041b92a8f4917c56ba3977ae0e30f35cfde31310d2748d3",
+    (False, None, True): "fa76f028de173316514ef6f84919a656239b7b99b7f41b0bfae74ec224fcdb3d",
+    (False, 64, False): "e9724017d48f88c76c86eeeabc4bb8e949e5bbaa2e38cb815a8e59a9bde01be8",
+    (False, 64, True): "edf430b4750298947de33ed0bff8341b10382dc7aa6d8d83833d096b150361f5",
+    (True, None, False): "53ac73b58e50184bac5236ebdd48484349da3f882a47d26b8d02bd5153a0ebef",
+    (True, None, True): "8d895869029f011919c421fd004cd4c54cbdac8f78652279b5eaff5c76c2c28d",
+    (True, 64, False): "c4c420fd17c516596d184c93587d46cb8153dab0e15771e35dfe15c4589dbcd9",
+    (True, 64, True): "9f8b0f5dc6b8fff0b73caf5884ed95e4f091c83b860669fcd9bf059c4ef64dc3",
+}
+
+
+@pytest.mark.parametrize("sync", [False, True])
+@pytest.mark.parametrize("block_records", [None, 64])
+@pytest.mark.parametrize("compress", [False, True, "background"])
+def test_v3_bytes_are_pinned(tmp_path, compress, block_records, sync):
+    path = tmp_path / "pinned.v3"
+    options = {} if block_records is None else {"block_records": block_records}
+    writer = open_trace_writer(
+        path, version=3, label="pin", metadata={"seed": 13}, compress=compress, **options
+    )
+    for index, request in enumerate(pinned_requests()):
+        writer.write(request)
+        if sync and index % 700 == 699:
+            writer.sync()
+    writer.close()
+    key = (bool(compress), block_records, sync)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V3_SHA256[key]

@@ -16,6 +16,7 @@ from repro.campaign import (
     write_results,
 )
 from repro.campaign.executor import RECORD_VERSION
+from benchmarks.legacy_codec import save_legacy_v2
 from repro.cli import main
 from repro.workloads import churn_trace, grow_then_shrink_trace, save_trace
 
@@ -269,9 +270,8 @@ def test_spec_observers_produce_bounded_footprint_series(tmp_path):
 
 
 def test_spec_observers_are_validated_and_not_part_of_cell_id():
-    spec = small_spec(observers=["no_such_observer"])
     with pytest.raises(SpecError, match="unknown observer"):
-        spec.validate()
+        small_spec(observers=["no_such_observer"])
     with_observers = small_spec(observers=["footprint_series"]).expand()
     without = small_spec().expand()
     assert [c.cell_id for c in with_observers] == [c.cell_id for c in without]
@@ -413,7 +413,7 @@ def test_replay_workload_streams_from_v2_file(tmp_path):
     materialised cell (modulo the workload entry and timing)."""
     trace = churn_trace(600, target_live=60, seed=13, label="recorded")
     path = tmp_path / "recorded.v2z"
-    save_trace(trace, path, version=2, compress=True)
+    save_legacy_v2(trace, path, compress=True)
     spec = small_spec(
         workloads=[
             {"kind": "replay", "path": str(path)},
@@ -439,8 +439,8 @@ def test_streamed_replay_workload_builds_a_source(tmp_path):
     from repro.workloads import Trace, TraceFileSource
 
     trace = churn_trace(100, target_live=20, seed=1)
-    path = tmp_path / "t.v2"
-    save_trace(trace, path, version=2)
+    path = tmp_path / "t.v3"
+    save_trace(trace, path, version=3)
     entry = {"kind": "replay", "path": str(path), "stream": True}
     built = build_workload(entry, seed=9)
     assert isinstance(built, TraceFileSource)

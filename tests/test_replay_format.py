@@ -1,29 +1,39 @@
-"""Round-trip and cross-format tests for the trace file formats (v0/v1/v2).
+"""Round-trip and cross-format tests for the trace file formats (v0–v3).
 
 The cross-format battery saves randomized traces — weird names (whitespace,
 ``#``, ``%``, unicode, space-adjacent), sizes from 1 up to multi-byte-varint
 huge — through every coexisting format and checks that all loaders agree
-request-for-request, so the three formats cannot drift apart silently.
+request-for-request, so the formats cannot drift apart silently.  Only v1
+and v3 are written; the legacy v0 and v2 files come from
+:mod:`benchmarks.legacy_codec`, whose v2 output is pinned to what the
+retired v2 writer produced.
 """
 
 import gzip
+import hashlib
 import random
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from benchmarks.legacy_codec import save_legacy_v0, save_legacy_v2
 from repro.workloads import (
     Request,
     Trace,
     TraceFileSource,
     TraceFormatError,
+    UniformSizes,
+    churn_trace,
     iter_trace,
     load_trace,
+    open_trace_writer,
     save_trace,
     trace_info,
 )
-from repro.workloads.binary import MAGIC, encode_varint
+from repro.workloads.binary import MAGIC, encode_varint, read_binary_header
 from repro.workloads.replay import TRACE_FORMAT_VERSION
+
 
 
 def build_trace(names, sizes, shuffle_seed, label="t", metadata=None):
@@ -94,7 +104,10 @@ def test_v1_label_and_metadata_round_trip(tmp_path):
 @pytest.mark.parametrize("version", [0, 1])
 def test_empty_trace_round_trips(tmp_path, version):
     path = tmp_path / f"empty-v{version}.txt"
-    save_trace(Trace([], label="empty"), path, version=version)
+    if version == 0:
+        save_legacy_v0(Trace([], label="empty"), path)
+    else:
+        save_trace(Trace([], label="empty"), path, version=version)
     loaded = load_trace(path)
     assert len(loaded) == 0
     assert loaded.label == "empty"
@@ -118,15 +131,29 @@ def test_v0_round_trip_safe_names(tmp_path_factory, names, data):
     sizes = [data.draw(st.integers(min_value=1, max_value=64)) for _ in names]
     trace = build_trace(names, sizes, shuffle_seed=data.draw(st.integers(0, 99)))
     path = tmp_path_factory.mktemp("v0") / "trace.txt"
-    save_trace(trace, path, version=0)
+    save_legacy_v0(trace, path)
     assert_round_trip(trace, load_trace(path))
 
 
 @pytest.mark.parametrize("name", ["a b", "tab\tname", "line\nbreak", ""])
 def test_v0_save_rejects_unsafe_names_with_clear_error(tmp_path, name):
+    """v0 is read-only: every save is refused, naming the upgrade path."""
     trace = Trace([Request.insert(name, 1)])
-    with pytest.raises(ValueError, match="v0 trace format"):
+    with pytest.raises(ValueError, match="v0 trace format is read-only.*--format v1\\|v3"):
         save_trace(trace, tmp_path / "bad.txt", version=0)
+    assert not (tmp_path / "bad.txt").exists()
+
+
+@pytest.mark.parametrize("version", [0, 2])
+def test_writers_refuse_the_read_only_formats(tmp_path, version):
+    path = tmp_path / f"t.v{version}"
+    for write in (
+        lambda: save_trace(Trace([]), path, version=version),
+        lambda: open_trace_writer(path, version=version),
+    ):
+        with pytest.raises(ValueError, match="read-only.*repro trace convert --format v1\\|v3"):
+            write()
+    assert not path.exists()
 
 
 def test_v0_legacy_file_still_loads(tmp_path):
@@ -229,26 +256,25 @@ def random_weird_trace(seed, requests, huge_sizes=False):
 
 
 def requests_of(loaded):
-    return [(r.op, r.name, r.size if r.is_insert else 0) for r in loaded]
+    return [(r.op, str(r.name), r.size if r.is_insert else 0) for r in loaded]
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("requests", [1, 2, 37, 400])
 def test_cross_format_loaders_agree(tmp_path, seed, requests):
-    """The same trace through v1, v2, and compressed v2 (plus gzip containers)
-    loads back identically under every loader, request for request."""
+    """The same trace through v1, v3, compressed v3, and legacy (compressed)
+    v2 (plus gzip containers) loads back identically under every loader,
+    request for request."""
     trace = random_weird_trace(seed * 101 + requests, requests, huge_sizes=(seed % 2 == 0))
     expected = [(r.op, str(r.name), r.size if r.is_insert else 0) for r in trace]
-    paths = {}
-    for tag, kwargs in [
-        ("v1", {"version": 1}),
-        ("v2", {"version": 2}),
-        ("v2z", {"version": 2, "compress": True}),
-    ]:
-        paths[tag] = tmp_path / f"t.{tag}"
-        save_trace(trace, paths[tag], **kwargs)
-    # gzip container around the text and the binary format
-    for tag in ("v1", "v2z"):
+    paths = {tag: tmp_path / f"t.{tag}" for tag in ("v1", "v2", "v2z", "v3", "v3z")}
+    save_trace(trace, paths["v1"], version=1)
+    save_legacy_v2(trace, paths["v2"])
+    save_legacy_v2(trace, paths["v2z"], compress=True)
+    save_trace(trace, paths["v3"], version=3, block_records=16)
+    save_trace(trace, paths["v3z"], version=3, compress=True, block_records=16)
+    # gzip container around the text and the binary formats
+    for tag in ("v1", "v2z", "v3"):
         gz = tmp_path / f"t.{tag}.gz"
         gz.write_bytes(gzip.compress(paths[tag].read_bytes()))
         paths[f"{tag}.gz"] = gz
@@ -262,8 +288,8 @@ def test_cross_format_loaders_agree(tmp_path, seed, requests):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_cross_format_v0_agrees_on_safe_names(tmp_path, seed):
-    """Traces restricted to v0-safe names round-trip identically through all
-    four formats, including the legacy one."""
+    """Traces restricted to v0-safe names load identically from all four
+    formats, including the hand-written legacy ones."""
     rng = random.Random(seed)
     live = {}
     out = []
@@ -280,12 +306,14 @@ def test_cross_format_v0_agrees_on_safe_names(tmp_path, seed):
             out.append(Request.insert(name, live[name]))
     trace = Trace(out, label=f"safe-{seed}")
     expected = [(r.op, str(r.name), r.size if r.is_insert else 0) for r in trace]
-    loads = {}
-    for version, compress in [(0, False), (1, False), (2, False), (2, True)]:
-        path = tmp_path / f"t.v{version}{'z' if compress else ''}"
-        save_trace(trace, path, version=version, compress=compress)
-        loads[path] = requests_of(load_trace(path))
-        assert loads[path] == expected, path
+    paths = {tag: tmp_path / f"t.{tag}" for tag in ("v0", "v1", "v2", "v2z", "v3")}
+    save_legacy_v0(trace, paths["v0"])
+    save_trace(trace, paths["v1"], version=1)
+    save_legacy_v2(trace, paths["v2"])
+    save_legacy_v2(trace, paths["v2z"], compress=True)
+    save_trace(trace, paths["v3"], version=3)
+    for path in paths.values():
+        assert requests_of(load_trace(path)) == expected, path
         assert requests_of(iter_trace(path)) == expected, path
 
 
@@ -297,7 +325,7 @@ def test_v2_round_trip_arbitrary_names(tmp_path_factory, names, data, compress):
     sizes = [data.draw(st.integers(min_value=1, max_value=2**40)) for _ in names]
     trace = build_trace(names, sizes, shuffle_seed=data.draw(st.integers(0, 99)))
     path = tmp_path_factory.mktemp("v2") / "trace.bin"
-    save_trace(trace, path, version=2, compress=compress)
+    save_legacy_v2(trace, path, compress=compress)
     assert_round_trip(trace, load_trace(path))
 
 
@@ -308,7 +336,7 @@ def test_v2_label_metadata_and_override_round_trip(tmp_path):
         metadata={"seed": 7, "kind": "churn"},
     )
     path = tmp_path / "meta.bin"
-    save_trace(trace, path, version=2, metadata={"extra": True}, compress=True)
+    save_legacy_v2(trace, path, metadata={"extra": True}, compress=True)
     loaded = load_trace(path)
     assert loaded.label == "churn demo\nwith newline"
     assert loaded.metadata == {"seed": 7, "kind": "churn", "extra": True}
@@ -318,18 +346,18 @@ def test_v2_label_metadata_and_override_round_trip(tmp_path):
 @pytest.mark.parametrize("compress", [False, True])
 def test_v2_empty_trace_round_trips(tmp_path, compress):
     path = tmp_path / "empty.bin"
-    save_trace(Trace([], label="empty"), path, version=2, compress=compress)
+    save_legacy_v2(Trace([], label="empty"), path, compress=compress)
     loaded = load_trace(path)
     assert len(loaded) == 0
     assert loaded.label == "empty"
 
 
 def test_v2_empty_name_round_trips(tmp_path):
-    """Unlike the line-oriented formats, v2 has a length field and can carry
-    the empty name."""
+    """Unlike the line-oriented formats, the binary formats have a length
+    field and can carry the empty name."""
     trace = Trace([Request.insert("", 2), Request.delete("")])
     path = tmp_path / "noname.bin"
-    save_trace(trace, path, version=2)
+    save_legacy_v2(trace, path)
     assert [r.name for r in load_trace(path)] == ["", ""]
 
 
@@ -343,7 +371,7 @@ def test_v2_name_coding_stays_compact(tmp_path):
         + [Request.insert(long_name, 5)]
     )
     path = tmp_path / "intern.bin"
-    save_trace(trace, path, version=2)
+    save_trace(trace, path, version=3)
     assert path.stat().st_size < len(long_name) + 101 * 5 + 64
     assert requests_of(load_trace(path)) == requests_of(trace)
 
@@ -359,7 +387,7 @@ def test_v2_ids_are_recycled_across_object_generations(tmp_path):
         out.append(Request.delete(name))
     trace = Trace(out)
     path = tmp_path / "recycle.bin"
-    save_trace(trace, path, version=2)
+    save_trace(trace, path, version=3)
     # Every delete must be a 2-byte DELETE_REF (tag + id 0): inserts are
     # front-coded to ~5 bytes, so the whole file stays tiny.
     assert path.stat().st_size < 6000 * 7
@@ -369,7 +397,7 @@ def test_v2_ids_are_recycled_across_object_generations(tmp_path):
 def test_trace_info_matches_trace_properties(tmp_path):
     trace = random_weird_trace(99, 300)
     path = tmp_path / "t.v2z"
-    save_trace(trace, path, version=2, compress=True)
+    save_legacy_v2(trace, path, compress=True)
     info = trace_info(path)
     assert info.requests == len(trace)
     assert info.inserts == trace.num_inserts
@@ -385,7 +413,7 @@ def test_trace_info_matches_trace_properties(tmp_path):
 def test_trace_file_source_is_re_iterable(tmp_path):
     trace = random_weird_trace(7, 50)
     path = tmp_path / "t.v2"
-    save_trace(trace, path, version=2)
+    save_legacy_v2(trace, path)
     source = TraceFileSource(path)
     assert requests_of(source) == requests_of(source)
     assert source.label == trace.label
@@ -393,8 +421,47 @@ def test_trace_file_source_is_re_iterable(tmp_path):
 
 
 def test_save_compress_requires_v2(tmp_path):
-    with pytest.raises(ValueError, match="v2"):
+    """Compression needs the binary format, which is v3 for writers."""
+    with pytest.raises(ValueError, match="version=3"):
         save_trace(Trace([]), tmp_path / "x", version=1, compress=True)
+
+
+# --------------------------------------------------------------- legacy v2
+def pinned_trace():
+    return churn_trace(3000, UniformSizes(1, 300), target_live=200, seed=13)
+
+
+#: sha256 of ``pinned_trace()`` saved with metadata ``{"seed": 13}`` by the
+#: retired v2 writer (``save_trace(..., version=2[, compress=True])``).
+V2_WRITER_SHA256 = {
+    False: "18186035503411495fbf5382cfde1043adc8186d5a4082230b576904a3f6804f",
+    True: "0104d5ae38463d62d27b227ee2882271d479ab3ad0a771901048ad0834345142",
+}
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_legacy_v2_builder_matches_the_retired_writer(tmp_path, compress):
+    path = tmp_path / "pinned.v2"
+    save_legacy_v2(pinned_trace(), path, metadata={"seed": 13}, compress=compress)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V2_WRITER_SHA256[compress]
+    assert requests_of(load_trace(path)) == requests_of(pinned_trace())
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_v2_body_over_one_read_chunk_streams(tmp_path, compress):
+    """A v2 body larger than the reader's 64 KiB chunk decodes through the
+    refill path (records straddle chunk boundaries)."""
+    trace = churn_trace(30_000, UniformSizes(1, 4096), target_live=500, seed=5)
+    path = tmp_path / "big.v2"
+    save_legacy_v2(trace, path, compress=compress)
+    with open(path, "rb") as handle:
+        read_binary_header(handle, path)
+        body = handle.read()
+    if compress:
+        body = zlib.decompress(body)
+    assert len(body) > 64 * 1024
+    assert requests_of(iter_trace(path)) == requests_of(trace)
+
 
 
 # ------------------------------------------------------------- v2 error paths
@@ -429,7 +496,7 @@ def test_v2_truncation_detected_at_every_cut(tmp_path):
     trace = random_weird_trace(3, 40)
     for compress in (False, True):
         path = tmp_path / f"whole{compress}.bin"
-        save_trace(trace, path, version=2, compress=compress)
+        save_legacy_v2(trace, path, compress=compress)
         data = path.read_bytes()
         for cut in {1, 4, len(data) // 4, len(data) // 2, len(data) - 1}:
             clipped = tmp_path / f"cut{compress}-{cut}.bin"
@@ -445,7 +512,7 @@ def test_v2_compressed_body_truncation_raises_with_path_at_every_cut(tmp_path):
     :class:`TraceFormatError` naming the file — never a bare ``zlib.error``
     or a silent prefix."""
     whole = tmp_path / "whole.v2z"
-    save_trace(random_weird_trace(3, 30), whole, version=2, compress=True)
+    save_legacy_v2(random_weird_trace(3, 30), whole, compress=True)
     data = whole.read_bytes()
     clipped = tmp_path / "clipped.v2z"
     for cut in range(1, len(data)):
